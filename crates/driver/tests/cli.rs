@@ -5,13 +5,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn vhdlc() -> Command {
-    // Integration tests run from the workspace; the binary lands in the
-    // shared target dir next to the test executable.
-    let mut exe = PathBuf::from(std::env::current_exe().unwrap());
-    exe.pop(); // deps/
-    exe.pop(); // debug/
-    exe.push("vhdlc");
-    Command::new(exe)
+    // Cargo builds this package's binaries before its integration tests
+    // and names their paths at compile time.
+    Command::new(env!("CARGO_BIN_EXE_vhdlc"))
 }
 
 fn tmpdir(tag: &str) -> PathBuf {

@@ -13,16 +13,25 @@
 //! is exactly the `Frame::pc` the interpreter would have stored — the two
 //! backends can take over from each other at any suspension point.
 //!
+//! The translation changes *when* an instruction runs, never what it
+//! means: a tape is a list of the original `Insn`s, and a value
+//! instruction whose operands were materialized on the process stack
+//! stays a [`Step::Raw`] of the original `Insn`. Both run through the
+//! kernel's single value evaluator (`Exec::eval` in [`crate::sim`]), the
+//! one the interpreter uses, and every effect step calls the same helper
+//! (wait deadline, call-frame push, assertion report, variable store,
+//! frame pop) as the interpreter's instruction. There is no second copy
+//! of the semantics here.
+//!
 //! Tapes whose every operation stays in the integer domain additionally
 //! run on a raw `i64` stack with no `Val` boxing; a type guard on every
 //! local/signal leaf bails out to the generic evaluator when the runtime
 //! value is not an integer, so the fast path never has to be *proven*
-//! type-safe, only checked. Each tape operation corresponds to exactly one
-//! source instruction and is charged one unit of fuel when evaluated, in
-//! original program order, so instruction counts, fuel exhaustion, and
-//! error points are identical to the interpreter's — the equivalence
-//! property suite (`crate::equiv`) holds both backends to byte-identical
-//! observables.
+//! type-safe, only checked. Each tape operation is one source instruction
+//! and is charged one unit of fuel when evaluated, in original program
+//! order, so instruction counts, fuel exhaustion, and error points are
+//! identical to the interpreter's — the equivalence property suite
+//! (`crate::equiv`) holds both backends to byte-identical observables.
 //!
 //! Shapes the translator cannot prove well-formed (inconsistent stack
 //! depths at a join, recursion, code that reads below its own frame's
@@ -31,68 +40,17 @@
 
 use std::sync::Arc;
 
-use crate::isa::{ArrAttrKind, FnId, Insn, Program, SigAttr, SigId, VarAddr};
+use crate::isa::{FnId, Insn, Program, SigAttr, SigId, VarAddr};
 use crate::rts::Op;
-use crate::value::{VDir, Val};
-
-/// One postfix tape operation. Every variant corresponds 1:1 to a pure
-/// value instruction of the ISA, so evaluating a tape charges the same
-/// fuel in the same order as interpreting the run it was folded from.
-#[derive(Clone, Debug)]
-pub(crate) enum EOp {
-    /// Integer literal (`PushInt`, or `PushConst` of an integer).
-    Int(i64),
-    /// Real literal.
-    Real(f64),
-    /// Shared constant.
-    Const(Val),
-    /// Local variable load (type-guarded on the integer fast path).
-    Local(VarAddr),
-    /// Signal effective value (type-guarded on the integer fast path).
-    Sig(SigId),
-    /// Signal attribute.
-    Attr(SigId, SigAttr),
-    /// Aggregate: pop `n`, push an array.
-    MakeArr {
-        /// Element count.
-        n: u16,
-        /// Left bound.
-        left: i64,
-        /// Direction.
-        dir: VDir,
-    },
-    /// Aggregate: pop `n`, push a record.
-    MakeRec {
-        /// Field count.
-        n: u16,
-    },
-    /// Pop index and array, push element.
-    Index,
-    /// Pop right, left, array; push slice.
-    Slice(VDir),
-    /// Pop record, push field.
-    Field(u16),
-    /// Pop array, push bound attribute.
-    ArrAttr(ArrAttrKind),
-    /// Binary runtime-support op.
-    Binop(Op),
-    /// Unary runtime-support op.
-    Unop(Op),
-    /// Bounds trap; value stays on the tape stack.
-    RangeCheck {
-        /// Low bound.
-        lo: i64,
-        /// High bound.
-        hi: i64,
-    },
-}
+use crate::value::Val;
 
 /// A folded run of pure value instructions, evaluated on demand at its
 /// consumer.
 #[derive(Clone, Debug)]
 pub(crate) struct Tape {
-    /// Postfix operations, in original program order.
-    pub(crate) ops: Vec<EOp>,
+    /// The folded pure value instructions, in original program order
+    /// (postfix).
+    pub(crate) ops: Vec<Insn>,
     /// Every operation has an integer-domain interpretation, so the
     /// `i64` fast path may be attempted (leaf guards still apply).
     pub(crate) int_ok: bool,
@@ -102,7 +60,7 @@ pub(crate) struct Tape {
 }
 
 impl Tape {
-    fn new(ops: Vec<EOp>, int_ok: bool) -> Tape {
+    fn new(ops: Vec<Insn>, int_ok: bool) -> Tape {
         Tape {
             ops,
             int_ok,
@@ -111,7 +69,7 @@ impl Tape {
     }
 }
 
-/// One operation of the integer fast path. Unlike [`EOp`] these are
+/// One operation of the integer fast path. Unlike [`Insn`] these are
 /// small (16 bytes), carry no `Val` payloads, and fuse a pushed
 /// immediate into the binop that consumes it — the shape integer
 /// expression code overwhelmingly takes.
@@ -165,7 +123,7 @@ pub(crate) struct IntTape {
 /// Lowers an `int_ok` tape's ops into the fused integer form. Returns
 /// `None` for any op outside the integer domain (defensive: `int_ok`
 /// construction should already exclude them).
-fn build_int_tape(ops: &[EOp]) -> Option<IntTape> {
+fn build_int_tape(ops: &[Insn]) -> Option<IntTape> {
     let mut out: Vec<IntOp> = Vec::with_capacity(ops.len());
     let mut ends: Vec<u32> = Vec::with_capacity(ops.len());
     let mut depth = 0usize;
@@ -173,23 +131,23 @@ fn build_int_tape(ops: &[EOp]) -> Option<IntTape> {
     for (i, op) in ops.iter().enumerate() {
         let end = (i + 1) as u32;
         match op {
-            EOp::Int(v) => {
+            Insn::PushInt(v) | Insn::PushConst(Val::Int(v)) => {
                 out.push(IntOp::Imm(*v));
                 depth += 1;
             }
-            EOp::Local(a) => {
+            Insn::LoadVar(a) => {
                 out.push(IntOp::Local(*a));
                 depth += 1;
             }
-            EOp::Sig(s) => {
+            Insn::LoadSig(s) => {
                 out.push(IntOp::Sig(*s));
                 depth += 1;
             }
-            EOp::Attr(s, a) => {
+            Insn::LoadSigAttr(s, a) => {
                 out.push(IntOp::Attr(*s, *a));
                 depth += 1;
             }
-            EOp::Binop(op) => {
+            Insn::Binop(op) => {
                 depth = depth.checked_sub(2)? + 1;
                 if let Some(IntOp::Imm(k)) = out.last().copied() {
                     out.pop();
@@ -204,11 +162,11 @@ fn build_int_tape(ops: &[EOp]) -> Option<IntTape> {
                     out.push(IntOp::Binop(*op));
                 }
             }
-            EOp::Unop(op) => {
+            Insn::Unop(op) => {
                 depth.checked_sub(1)?;
                 out.push(IntOp::Unop(*op));
             }
-            EOp::RangeCheck { lo, hi } => {
+            Insn::RangeCheck { lo, hi } => {
                 depth.checked_sub(1)?;
                 out.push(IntOp::RangeCheck(*lo, *hi));
             }
@@ -306,8 +264,8 @@ pub(crate) enum Step {
     /// `Pop` of a deferred tape: evaluate (for its faults and fuel) and
     /// discard.
     Drop(Tape),
-    /// Execute one instruction interpreter-style on the process value
-    /// stack (operands were materialized).
+    /// Evaluate one pure value instruction on the process value stack
+    /// (its operands were materialized), exactly as the interpreter does.
     Raw(Insn),
     /// `StoreVar`.
     Store {
@@ -450,14 +408,12 @@ pub(crate) struct Unit {
     pub(crate) net: Option<isize>,
 }
 
-/// The whole program, compiled. Unit `i` for `i < n_procs` is process
-/// `i`; unit `n_procs + f` is subprogram `f`.
+/// The whole program, compiled. With `n` processes, unit `i < n` is
+/// process `i` and unit `n + f` is subprogram `f`.
 #[derive(Debug)]
 pub(crate) struct CompiledProgram {
     /// Compiled units; `None` marks an interpreter-fallback unit.
     pub(crate) units: Vec<Option<Unit>>,
-    /// Process count (units below this index are processes).
-    pub(crate) n_procs: usize,
     /// Per process: may it run compiled (its unit and every transitively
     /// called unit compiled successfully)?
     pub(crate) proc_ok: Vec<bool>,
@@ -465,13 +421,6 @@ pub(crate) struct CompiledProgram {
     pub(crate) total_blocks: u64,
     /// Processes forced onto the interpreter.
     pub(crate) n_fallback: u64,
-}
-
-impl CompiledProgram {
-    /// Unit index for a subprogram.
-    pub(crate) fn fn_unit(&self, f: FnId) -> usize {
-        self.n_procs + f.0 as usize
-    }
 }
 
 /// Compiles every process and subprogram of `prog`. Infallible: shapes
@@ -510,7 +459,6 @@ pub(crate) fn compile(prog: &Program) -> CompiledProgram {
     let n_fallback = proc_ok.iter().filter(|ok| !**ok).count() as u64;
     CompiledProgram {
         units,
-        n_procs,
         proc_ok,
         total_blocks,
         n_fallback,
@@ -701,14 +649,13 @@ impl Compiler<'_> {
                 None => Err("value-stack underflow during translation".into()),
             }
         }
-        // Fold the top `n` operands and `op` into one tape; when any
+        // Fold the top `n` operands and `insn` into one tape; when any
         // operand is already materialized, fall back to a Raw step so the
         // real stack keeps interpreter order.
         fn combine(
             abs: &mut Vec<E>,
             steps: &mut Vec<Step>,
             n: usize,
-            op: EOp,
             int_op: bool,
             insn: &Insn,
         ) -> Result<(), String> {
@@ -724,7 +671,7 @@ impl Compiler<'_> {
                     int_ok &= t.int_ok;
                     ops.extend(t.ops);
                 }
-                ops.push(op);
+                ops.push(insn.clone());
                 abs.push(E::T(Tape::new(ops, int_ok)));
             } else {
                 materialize(abs, steps, 0);
@@ -734,8 +681,8 @@ impl Compiler<'_> {
             }
             Ok(())
         }
-        fn leaf(abs: &mut Vec<E>, op: EOp, int_ok: bool) {
-            abs.push(E::T(Tape::new(vec![op], int_ok)));
+        fn leaf(abs: &mut Vec<E>, insn: &Insn, int_ok: bool) {
+            abs.push(E::T(Tape::new(vec![insn.clone()], int_ok)));
         }
         let int_binop = |op: Op| {
             use Op::*;
@@ -772,61 +719,22 @@ impl Compiler<'_> {
             let next_pc = pc + 1;
             match insn {
                 // Pure value producers: defer onto a tape.
-                Insn::PushInt(v) => leaf(&mut abs, EOp::Int(*v), true),
-                Insn::PushReal(v) => leaf(&mut abs, EOp::Real(*v), false),
-                Insn::PushConst(v) => match v {
-                    Val::Int(i) => leaf(&mut abs, EOp::Int(*i), true),
-                    _ => leaf(&mut abs, EOp::Const(v.clone()), false),
-                },
-                Insn::LoadVar(a) => leaf(&mut abs, EOp::Local(*a), true),
-                Insn::LoadSig(s) => leaf(&mut abs, EOp::Sig(*s), true),
-                Insn::LoadSigAttr(s, attr) => leaf(&mut abs, EOp::Attr(*s, *attr), true),
+                Insn::PushInt(_) | Insn::LoadVar(_) | Insn::LoadSig(_) | Insn::LoadSigAttr(..) => {
+                    leaf(&mut abs, insn, true)
+                }
+                Insn::PushReal(_) => leaf(&mut abs, insn, false),
+                Insn::PushConst(v) => leaf(&mut abs, insn, matches!(v, Val::Int(_))),
                 // Pure combiners.
-                Insn::MakeArr { n, left, dir } => combine(
-                    &mut abs,
-                    &mut steps,
-                    *n as usize,
-                    EOp::MakeArr {
-                        n: *n,
-                        left: *left,
-                        dir: *dir,
-                    },
-                    false,
-                    insn,
-                )?,
-                Insn::MakeRec { n } => combine(
-                    &mut abs,
-                    &mut steps,
-                    *n as usize,
-                    EOp::MakeRec { n: *n },
-                    false,
-                    insn,
-                )?,
-                Insn::Index => combine(&mut abs, &mut steps, 2, EOp::Index, false, insn)?,
-                Insn::Slice(dir) => {
-                    combine(&mut abs, &mut steps, 3, EOp::Slice(*dir), false, insn)?
+                Insn::MakeArr { n, .. } | Insn::MakeRec { n } => {
+                    combine(&mut abs, &mut steps, *n as usize, false, insn)?
                 }
-                Insn::Field(i) => combine(&mut abs, &mut steps, 1, EOp::Field(*i), false, insn)?,
-                Insn::ArrAttr(k) => {
-                    combine(&mut abs, &mut steps, 1, EOp::ArrAttr(*k), false, insn)?
-                }
-                Insn::Binop(op) => {
-                    combine(
-                        &mut abs,
-                        &mut steps,
-                        2,
-                        EOp::Binop(*op),
-                        int_binop(*op),
-                        insn,
-                    )?;
-                }
-                Insn::Unop(op) => {
-                    combine(&mut abs, &mut steps, 1, EOp::Unop(*op), int_unop(*op), insn)?;
-                }
-                Insn::RangeCheck { lo, hi } => match abs.last_mut() {
-                    Some(E::T(t)) => {
-                        t.ops.push(EOp::RangeCheck { lo: *lo, hi: *hi });
-                    }
+                Insn::Index => combine(&mut abs, &mut steps, 2, false, insn)?,
+                Insn::Slice(_) => combine(&mut abs, &mut steps, 3, false, insn)?,
+                Insn::Field(_) | Insn::ArrAttr(_) => combine(&mut abs, &mut steps, 1, false, insn)?,
+                Insn::Binop(op) => combine(&mut abs, &mut steps, 2, int_binop(*op), insn)?,
+                Insn::Unop(op) => combine(&mut abs, &mut steps, 1, int_unop(*op), insn)?,
+                Insn::RangeCheck { .. } => match abs.last_mut() {
+                    Some(E::T(t)) => t.ops.push(insn.clone()),
                     Some(E::Rt) => steps.push(Step::Raw(insn.clone())),
                     None => return Err("value-stack underflow during translation".into()),
                 },
@@ -1081,7 +989,7 @@ mod tests {
             ],
         );
         let cp = compile(&p);
-        assert_eq!(cp.n_procs, 1);
+        assert_eq!(cp.proc_ok.len(), 1);
         assert!(cp.proc_ok[0], "oscillator must compile");
         assert_eq!(cp.n_fallback, 0);
         let unit = cp.units[0].as_ref().unwrap();

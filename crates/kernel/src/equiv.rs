@@ -7,7 +7,11 @@
 //! timeouts including the zero-delay backward-time case), preempting
 //! drivers (inertial and transport), resolved multi-driver signals,
 //! nested resolution calls, data-dependent branches, failing division,
-//! assertion reports — run through both steppers, optionally with
+//! assertion reports, composite values (array and record aggregates,
+//! element and field stores, slices, attributes, range checks), signal
+//! attributes, element scheduling, subprogram calls with up-level
+//! access, and values carried across branches — run through both
+//! steppers, optionally with
 //! the event-driven run split into incremental slices, and every
 //! observable must match byte for byte: VCD output, statistics,
 //! per-object Name-Server counters, final values, reports, and the run
@@ -25,10 +29,10 @@ use std::sync::Arc;
 use ag_harness::{check_eq, forall, Config, Source};
 
 use crate::io::Vcd;
-use crate::isa::{ArrAttrKind, FnDecl, Insn, Program, SigId, VarAddr};
+use crate::isa::{ArrAttrKind, FnDecl, FnId, Insn, Program, SigAttr, SigId, VarAddr};
 use crate::rts::Op;
 use crate::sim::{Backend, RunOutcome, SimError, Simulator};
-use crate::value::{Time, Val};
+use crate::value::{Time, VDir, Val};
 
 fn slot(n: u16) -> VarAddr {
     VarAddr { depth: 0, slot: n }
@@ -72,16 +76,277 @@ fn sum_mod4() -> FnDecl {
     }
 }
 
+/// `x * 2 + c`, where `c` is the calling process's counter read through
+/// the static link: an up-level access from a level-1 subprogram.
+fn twice_plus_counter() -> FnDecl {
+    FnDecl {
+        name: "twice_plus_counter".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(2),
+            Insn::Binop(Op::Mul),
+            Insn::LoadVar(VarAddr { depth: 1, slot: 0 }),
+            Insn::Binop(Op::Add),
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    }
+}
+
+/// `if x < 10 then return inner(x) else return x mod 10`: a branch, two
+/// returns, and a nested call, so compiled callers must carry the
+/// callee's net stack effect through every exit.
+fn clamp(inner: FnId) -> FnDecl {
+    FnDecl {
+        name: "clamp".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(10),
+            Insn::Binop(Op::Lt),
+            Insn::JumpIfFalse(7),
+            Insn::LoadVar(slot(0)),
+            Insn::Call(inner),
+            Insn::Ret { has_value: true },
+            Insn::LoadVar(slot(0)), // 7:
+            Insn::PushInt(10),
+            Insn::Binop(Op::Mod),
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    }
+}
+
+/// Process locals: the activation counter, a write-only scratch, an
+/// array, a record, an integer result (observed through a signal), and
+/// a composite scratch.
+const COUNTER: u16 = 0;
+const SCRATCH: u16 = 1;
+const ARR: u16 = 2;
+const REC: u16 = 3;
+const RESULT: u16 = 4;
+const COMPOSITE: u16 = 5;
+const N_LOCALS: u16 = 6;
+
+/// Pushes the logical index `left ± (counter mod k)` of an array with
+/// the given left bound and direction. Offsets reach `k - 1`, so `k`
+/// above the array length walks out of bounds on some activations.
+fn push_index(code: &mut Vec<Insn>, left: i64, dir: VDir, k: i64) {
+    let offset = [
+        Insn::LoadVar(slot(COUNTER)),
+        Insn::PushInt(k),
+        Insn::Binop(Op::Mod),
+    ];
+    match dir {
+        VDir::To => {
+            code.extend(offset);
+            code.extend([Insn::PushInt(left), Insn::Binop(Op::Add)]);
+        }
+        VDir::Downto => {
+            code.push(Insn::PushInt(left));
+            code.extend(offset);
+            code.push(Insn::Binop(Op::Sub));
+        }
+    }
+}
+
+/// True in one draw of sixteen: picks the failing variant of an operand.
+fn rarely(s: &mut Source) -> bool {
+    s.usize_in(0, 15) == 0
+}
+
+/// Any array attribute.
+fn any_attr(s: &mut Source) -> ArrAttrKind {
+    *s.pick(&[
+        ArrAttrKind::Length,
+        ArrAttrKind::Left,
+        ArrAttrKind::Right,
+        ArrAttrKind::Low,
+        ArrAttrKind::High,
+    ])
+}
+
+/// The logical index at offset `o` of an array with the given bounds.
+fn index_at(left: i64, dir: VDir, o: i64) -> i64 {
+    match dir {
+        VDir::To => left + o,
+        VDir::Downto => left - o,
+    }
+}
+
+/// Composite values and every pure instruction: builds a four-element
+/// array (aggregate or constant) into `ARR`, stores one element at a
+/// counter-derived index, wraps it in a record with a real field in
+/// `REC`, updates fields, then reads back a slice attribute plus an
+/// element into `RESULT` under a range check. Index, slice, and range
+/// violations each occur in some draws.
+fn gen_aggregates(s: &mut Source, code: &mut Vec<Insn>) -> (i64, VDir) {
+    let left = *s.pick(&[0i64, 3, -2]);
+    let dir = if s.bool() { VDir::To } else { VDir::Downto };
+    if s.bool() {
+        code.extend([
+            Insn::LoadVar(slot(COUNTER)),
+            Insn::PushInt(7),
+            Insn::PushConst(Val::Int(2)),
+            Insn::LoadVar(slot(COUNTER)),
+            Insn::PushInt(3),
+            Insn::Binop(Op::Mod),
+            Insn::MakeArr { n: 4, left, dir },
+        ]);
+    } else {
+        let data = [1, 0, 3, 2].map(Val::Int).to_vec();
+        code.push(Insn::PushConst(Val::arr(left, dir, data)));
+    }
+    code.push(Insn::StoreVar(slot(ARR)));
+    // arr(left ± counter mod k) := counter
+    push_index(code, left, dir, if rarely(s) { 5 } else { 4 });
+    code.extend([Insn::LoadVar(slot(COUNTER)), Insn::StoreVarIndex(slot(ARR))]);
+    // rec := (arr, 1.5, 9); rec.2 := counter; rec.1 := rec.1 + 0.25
+    code.extend([
+        Insn::LoadVar(slot(ARR)),
+        Insn::PushReal(1.5),
+        Insn::PushConst(Val::Int(9)),
+        Insn::MakeRec { n: 3 },
+        Insn::StoreVar(slot(REC)),
+        Insn::LoadVar(slot(COUNTER)),
+        Insn::StoreVarField(slot(REC), 2),
+        Insn::LoadVar(slot(REC)),
+        Insn::Field(1),
+        Insn::PushConst(Val::Real(0.25)),
+        Insn::Binop(Op::Add),
+        Insn::StoreVarField(slot(REC), 1),
+    ]);
+    // result := rec.0(a .. b)'attr + rec.0(left), range-checked; rare
+    // draws slice one past the end or tighten the range.
+    let a = index_at(left, dir, s.i64_in(0, 3));
+    let b = index_at(left, dir, if rarely(s) { 4 } else { s.i64_in(0, 3) });
+    let attr = any_attr(s);
+    code.extend([
+        Insn::LoadVar(slot(REC)),
+        Insn::Field(0),
+        Insn::PushInt(a),
+        Insn::PushInt(b),
+        Insn::Slice(dir),
+        Insn::ArrAttr(attr),
+        Insn::LoadVar(slot(REC)),
+        Insn::Field(0),
+        Insn::PushInt(left),
+        Insn::Index,
+        Insn::Binop(Op::Add),
+        Insn::RangeCheck {
+            lo: -10,
+            hi: if rarely(s) { 12 } else { 1000 },
+        },
+        Insn::StoreVar(slot(RESULT)),
+    ]);
+    (left, dir)
+}
+
+/// A value computed across a block boundary: the producer's operands are
+/// pushed before a data-dependent branch and consumed after the join, so
+/// the compiled backend materializes them and runs the consumer as raw
+/// steps on the process stack. `agg` holds the bounds of the array in
+/// `ARR` when [`gen_aggregates`] ran (array and record kinds need it).
+fn gen_crossing(s: &mut Source, code: &mut Vec<Insn>, agg: Option<(i64, VDir)>) {
+    let counter = Insn::LoadVar(slot(COUNTER));
+    let (producer, consumer): (Vec<Insn>, Vec<Insn>) =
+        match (agg, s.usize_in(0, if agg.is_some() { 5 } else { 2 })) {
+            // -(counter + 3)^2 range-checked; the tight bound fails once
+            // the counter passes 11.
+            (_, 0) => (
+                vec![counter, Insn::PushInt(3)],
+                vec![
+                    Insn::Binop(Op::Add),
+                    Insn::Unop(Op::Neg),
+                    Insn::Dup,
+                    Insn::Binop(Op::Mul),
+                    Insn::RangeCheck {
+                        lo: 0,
+                        hi: if rarely(s) { 200 } else { 1_000_000 },
+                    },
+                    Insn::StoreVar(slot(RESULT)),
+                ],
+            ),
+            (_, 1) => (
+                vec![counter, Insn::PushInt(1)],
+                vec![
+                    Insn::MakeArr {
+                        n: 2,
+                        left: 5,
+                        dir: VDir::Downto,
+                    },
+                    Insn::ArrAttr(ArrAttrKind::Low),
+                    Insn::StoreVar(slot(RESULT)),
+                ],
+            ),
+            (_, 2) => (
+                vec![counter, Insn::PushReal(0.5)],
+                vec![
+                    Insn::MakeRec { n: 2 },
+                    Insn::Dup,
+                    Insn::StoreVar(slot(COMPOSITE)),
+                    Insn::Field(0),
+                    Insn::StoreVar(slot(RESULT)),
+                ],
+            ),
+            (Some((left, dir)), 3) => {
+                let a = index_at(left, dir, s.i64_in(0, 3));
+                let b = index_at(left, dir, if rarely(s) { 4 } else { s.i64_in(0, 3) });
+                (
+                    vec![Insn::LoadVar(slot(ARR))],
+                    vec![
+                        Insn::PushInt(a),
+                        Insn::PushInt(b),
+                        Insn::Slice(dir),
+                        Insn::ArrAttr(any_attr(s)),
+                        Insn::StoreVar(slot(RESULT)),
+                    ],
+                )
+            }
+            (Some((left, dir)), 4) => {
+                let mut consumer = Vec::new();
+                push_index(&mut consumer, left, dir, if rarely(s) { 6 } else { 4 });
+                consumer.extend([Insn::Index, Insn::StoreVar(slot(RESULT))]);
+                (vec![Insn::LoadVar(slot(ARR))], consumer)
+            }
+            _ => (
+                vec![Insn::LoadVar(slot(REC))],
+                vec![
+                    Insn::Field(0),
+                    Insn::ArrAttr(ArrAttrKind::Length),
+                    Insn::StoreVar(slot(RESULT)),
+                ],
+            ),
+        };
+    code.extend(producer);
+    code.extend([
+        Insn::LoadVar(slot(COUNTER)),
+        Insn::PushInt(2),
+        Insn::Binop(Op::Mod),
+    ]);
+    let jif_at = code.len();
+    code.push(Insn::JumpIfFalse(0)); // patched below
+    code.extend([Insn::LoadVar(slot(COUNTER)), Insn::StoreVar(slot(SCRATCH))]);
+    code[jif_at] = Insn::JumpIfFalse(code.len() as u32);
+    code.extend(consumer);
+}
+
 /// Draws a random program: 1–3 processes, each with its own plain
-/// signals, plus 0–2 resolved bus signals every process may drive.
-/// Processes loop forever: bump a counter, schedule 1–3 transactions
-/// (delta or timed, inertial or transport, counter-derived or constant
-/// values), then wait on a random sensitivity subset with an optional
-/// timeout.
+/// signals (and optionally a four-element array signal), plus 0–2
+/// resolved bus signals every process may drive. Processes loop forever:
+/// bump a counter, schedule 1–3 transactions (delta or timed, inertial
+/// or transport, counter-derived, constant, or signal-attribute values),
+/// optionally compute with composites, element-schedule the array
+/// signal, call subprograms, and carry values across branches, then
+/// wait on a random sensitivity subset with an optional timeout.
 pub(crate) fn gen_program(s: &mut Source) -> Program {
     let mut prog = Program::default();
     let n_procs = s.usize_in(1, 3);
     let mut own: Vec<Vec<SigId>> = Vec::new();
+    let mut vecs: Vec<Option<SigId>> = Vec::new();
     for pi in 0..n_procs {
         let k = s.usize_in(1, 2);
         own.push(
@@ -89,6 +354,10 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
                 .map(|j| prog.add_signal(format!("top.p{pi}.s{j}"), Val::Int(0)))
                 .collect(),
         );
+        vecs.push(s.option(|_| {
+            let init = Val::arr(0, VDir::To, vec![Val::Int(0); 4]);
+            prog.add_signal(format!("top.p{pi}.v"), init)
+        }));
     }
     let n_res = s.usize_in(0, 2);
     let mut res: Vec<SigId> = Vec::new();
@@ -100,7 +369,14 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
             res.push(sid);
         }
     }
-    let all: Vec<SigId> = own.iter().flatten().chain(res.iter()).copied().collect();
+    let callees: Vec<FnId> = if s.bool() {
+        let inner = prog.add_function(twice_plus_counter());
+        vec![inner, prog.add_function(clamp(inner))]
+    } else {
+        Vec::new()
+    };
+    let ints: Vec<SigId> = own.iter().flatten().chain(res.iter()).copied().collect();
+    let all: Vec<SigId> = ints.iter().chain(vecs.iter().flatten()).copied().collect();
     for pi in 0..n_procs {
         let mut code = vec![
             Insn::LoadVar(slot(0)),
@@ -111,15 +387,21 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
         let targets: Vec<SigId> = own[pi].iter().chain(res.iter()).copied().collect();
         for _ in 0..s.usize_in(1, 3) {
             let sig = *s.pick(&targets);
-            if s.bool() {
+            match s.usize_in(0, 4) {
                 // Counter-derived value: changes over time, so events and
                 // no-change active cycles both occur.
-                let m = *s.pick(&[2i64, 3, 4]);
-                code.push(Insn::LoadVar(slot(0)));
-                code.push(Insn::PushInt(m));
-                code.push(Insn::Binop(Op::Mod));
-            } else {
-                code.push(Insn::PushInt(s.i64_in(0, 3)));
+                0 | 1 => {
+                    let m = *s.pick(&[2i64, 3, 4]);
+                    code.push(Insn::LoadVar(slot(0)));
+                    code.push(Insn::PushInt(m));
+                    code.push(Insn::Binop(Op::Mod));
+                }
+                2 => code.push(Insn::PushInt(s.i64_in(0, 3))),
+                3 => code.push(Insn::LoadSig(*s.pick(&ints))),
+                _ => {
+                    let attr = *s.pick(&[SigAttr::Event, SigAttr::Active, SigAttr::LastValue]);
+                    code.push(Insn::LoadSigAttr(*s.pick(&ints), attr));
+                }
             }
             // −1 is the "no delay" marker (delta), 0 is an explicit zero
             // delay (also delta); positive delays go through the far heap.
@@ -149,6 +431,63 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
             });
             code[jif_at] = Insn::JumpIfFalse(code.len() as u32);
         }
+        let agg = if s.bool() {
+            Some(gen_aggregates(s, &mut code))
+        } else {
+            None
+        };
+        if let Some(v) = vecs[pi] {
+            // v(counter mod k) <= counter mod 2: a rare divisor 5 indexes
+            // one past the end on some activations.
+            code.extend([
+                Insn::LoadVar(slot(COUNTER)),
+                Insn::PushInt(if rarely(s) { 5 } else { 4 }),
+                Insn::Binop(Op::Mod),
+                Insn::LoadVar(slot(COUNTER)),
+                Insn::PushInt(2),
+                Insn::Binop(Op::Mod),
+                Insn::PushInt(*s.pick(&[-1i64, 0, 2])),
+                Insn::SchedIndex {
+                    sig: v,
+                    transport: s.bool(),
+                },
+            ]);
+            // Whole-array assignment from a local whose bounds may differ
+            // from the signal's (subtype conversion).
+            if agg.is_some() && s.bool() {
+                code.extend([
+                    Insn::LoadVar(slot(ARR)),
+                    Insn::PushInt(*s.pick(&[-1i64, 3])),
+                    Insn::Sched {
+                        sig: v,
+                        transport: s.bool(),
+                    },
+                ]);
+            }
+        }
+        if !callees.is_empty() && s.bool() {
+            // The call result lands on the real stack, so the addition
+            // after it runs as a raw step under the compiled backend.
+            code.extend([
+                Insn::LoadVar(slot(COUNTER)),
+                Insn::Call(*s.pick(&callees)),
+                Insn::PushInt(3),
+                Insn::Binop(Op::Add),
+                Insn::StoreVar(slot(RESULT)),
+            ]);
+        }
+        for _ in 0..s.usize_in(0, 2) {
+            gen_crossing(s, &mut code, agg);
+        }
+        // Make the computed result observable.
+        code.extend([
+            Insn::LoadVar(slot(RESULT)),
+            Insn::PushInt(1),
+            Insn::Sched {
+                sig: own[pi][0],
+                transport: false,
+            },
+        ]);
         // Occasional failing arithmetic: dividing by `counter mod k`
         // eventually divides by zero, so both steppers and both backends
         // must fail at the same instruction with the same message.
@@ -186,7 +525,7 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
         });
         code.push(Insn::Pop);
         code.push(Insn::Jump(0));
-        prog.add_process(format!("top.p{pi}"), 2, code);
+        prog.add_process(format!("top.p{pi}"), N_LOCALS, code);
     }
     // Exercise both sensitivity sources: elaborator metadata and the
     // kernel's fallback code walk.
@@ -603,4 +942,109 @@ fn mod_by_power_of_two_matches_interp_for_negative_operands() {
         Val::Int(v) => assert!((0..8).contains(v), "euclidean remainder, got {v}"),
         other => panic!("integer remainder expected, got {other:?}"),
     }
+}
+
+/// The generator must keep reaching what the backends share: every pure
+/// value instruction and every composite store, schedule, and call shape
+/// in the generated code, and every combiner as a raw step (operands
+/// materialized across a block boundary) in the compiled translation.
+/// Without this guard a generator change could silently shrink the
+/// oracle back to integer-only designs.
+#[test]
+fn generator_covers_every_instruction_shape() {
+    use std::collections::BTreeSet;
+
+    use crate::compile::Step;
+
+    fn kind(insn: &Insn) -> String {
+        let dbg = format!("{insn:?}");
+        let end = dbg.find([' ', '(', '{']).unwrap_or(dbg.len());
+        dbg[..end].to_string()
+    }
+    let mut emitted = BTreeSet::new();
+    let mut raw = BTreeSet::new();
+    let mut outcomes = (0usize, 0usize);
+    for seed in 0..64 {
+        let prog = gen_program(&mut Source::from_seed(seed));
+        for code in prog
+            .processes
+            .iter()
+            .map(|p| &p.code)
+            .chain(prog.functions.iter().map(|f| &f.code))
+        {
+            emitted.extend(code.iter().map(kind));
+        }
+        let cp = crate::compile::compile(&prog);
+        assert_eq!(cp.n_fallback, 0, "generated design must compile in full");
+        for unit in cp.units.iter().flatten() {
+            for block in &unit.blocks {
+                for step in &block.steps {
+                    if let Step::Raw(insn) = step {
+                        raw.insert(kind(insn));
+                    }
+                }
+            }
+        }
+        let snap = run_new(&prog, Time::fs(40), &[200], Backend::Interp);
+        if snap.outcome.starts_with("err") {
+            outcomes.1 += 1;
+        } else {
+            outcomes.0 += 1;
+        }
+    }
+    let want = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<BTreeSet<_>>();
+    let every_insn = want(&[
+        "PushInt",
+        "PushReal",
+        "PushConst",
+        "MakeArr",
+        "MakeRec",
+        "LoadVar",
+        "StoreVar",
+        "StoreVarIndex",
+        "StoreVarField",
+        "LoadSig",
+        "LoadSigAttr",
+        "Index",
+        "Slice",
+        "Field",
+        "ArrAttr",
+        "Binop",
+        "Unop",
+        "RangeCheck",
+        "Jump",
+        "JumpIfFalse",
+        "Sched",
+        "SchedIndex",
+        "Wait",
+        "Call",
+        "Ret",
+        "Assert",
+        "Pop",
+        "Dup",
+    ]);
+    let missing: Vec<_> = every_insn.difference(&emitted).collect();
+    assert!(missing.is_empty(), "never generated: {missing:?}");
+    let combiners = want(&[
+        "MakeArr",
+        "MakeRec",
+        "Index",
+        "Slice",
+        "Field",
+        "ArrAttr",
+        "Binop",
+        "Unop",
+        "RangeCheck",
+        "Dup",
+    ]);
+    let missing: Vec<_> = combiners.difference(&raw).collect();
+    assert!(missing.is_empty(), "never a raw step: {missing:?}");
+    // Failing designs are part of the oracle, but most runs must stay
+    // healthy long enough to exercise the rest.
+    assert!(
+        outcomes.0 > outcomes.1,
+        "healthy {} vs failed {}",
+        outcomes.0,
+        outcomes.1
+    );
 }

@@ -25,10 +25,10 @@ use crate::value::Time;
 pub(crate) struct Ctx {
     pub(crate) program: Arc<Program>,
     pub(crate) signals: Arc<Vec<crate::sim::SigState>>,
+    /// The translation to run on; `None` under the interpreter.
     pub(crate) compiled: Option<Arc<CompiledProgram>>,
     pub(crate) now: Time,
     pub(crate) fuel_budget: u64,
-    pub(crate) compiled_backend: bool,
 }
 
 impl Ctx {
@@ -39,7 +39,6 @@ impl Ctx {
             compiled: self.compiled.clone(),
             now: self.now,
             fuel_budget: self.fuel_budget,
-            compiled_backend: self.compiled_backend,
         }
     }
 }

@@ -137,6 +137,9 @@ pub enum RtError {
     },
     /// Arithmetic overflow.
     Overflow,
+    /// A negative `wait for` timeout or signal-assignment delay, in fs
+    /// (VHDL-87 §8.1, §8.3).
+    NegativeDelay(i64),
     /// Internal inconsistency (typed IR violated).
     Internal(String),
 }
@@ -150,6 +153,7 @@ impl std::fmt::Display for RtError {
             }
             RtError::IndexError { index } => write!(f, "index {index} out of bounds"),
             RtError::Overflow => write!(f, "arithmetic overflow"),
+            RtError::NegativeDelay(fs) => write!(f, "negative delay ({fs} fs)"),
             RtError::Internal(m) => write!(f, "internal: {m}"),
         }
     }

@@ -23,8 +23,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::compile::{self, Arg, CompiledProgram, EOp, IntOp, Step, Term};
-use crate::isa::{FnId, Insn, Program, SigAttr, SigId};
+use crate::compile::{self, Arg, CompiledProgram, IntOp, Step, Term};
+use crate::isa::{ArrAttrKind, FnId, Insn, Program, SigAttr, SigId, VarAddr};
 use crate::names::{NameError, NameServer, NsEntry, NsObject};
 use crate::par;
 use crate::rts::{self, Op, RtError};
@@ -332,6 +332,12 @@ pub(crate) struct JobBuf {
 /// shared mutable kernel state, so a cycle's ready set can execute on
 /// any thread in any order while the buffered effects replay in seed
 /// scan order at the cycle barrier.
+///
+/// Both process backends live here and share one semantics: the
+/// interpreter ([`Exec::exec_inner`]) and the compiled engine
+/// ([`Exec::exec_blocks`]) evaluate every pure value instruction through
+/// [`Exec::eval`] and every effect through the same helpers; they differ
+/// only in dispatch and in when fuel is charged.
 pub(crate) struct Exec<'e> {
     program: &'e Program,
     signals: &'e [SigState],
@@ -446,8 +452,8 @@ pub struct Simulator<'a> {
     test_fault: Option<TestFault>,
 }
 
-/// Why a compiled activation stopped early (internal control flow of the
-/// compiled engine; never escapes [`Exec::run_activation`]).
+/// Why an activation stopped early (internal control flow of both
+/// engines; never escapes [`Exec::run_activation`]).
 enum CErr {
     /// A runtime-support error to surface as [`SimError::Runtime`].
     Rt(RtError),
@@ -1098,29 +1104,7 @@ impl<'a> Simulator<'a> {
             level: decl.level,
             unit: u32::MAX,
         });
-        let run = {
-            let Simulator {
-                program,
-                signals,
-                now,
-                fuel_budget,
-                eff,
-                exec_scratch,
-                ..
-            } = &mut *self;
-            let mut ex = Exec {
-                program: &**program,
-                signals: &**signals,
-                compiled: None,
-                now: *now,
-                fuel_budget: *fuel_budget,
-                eff,
-                scratch: exec_scratch,
-                act_scheds: 0,
-            };
-            ex.run_pure(&mut scratch)
-        };
-        let out = match run {
+        let out = match self.exec().run_pure(&mut scratch) {
             Ok(()) => scratch
                 .stack
                 .pop()
@@ -1134,39 +1118,38 @@ impl<'a> Simulator<'a> {
         out
     }
 
+    /// An execution context over the coordinator's own effects buffer
+    /// and scratch (sequential activations, resolution calls).
+    fn exec(&mut self) -> Exec<'_> {
+        let Simulator {
+            program,
+            signals,
+            compiled,
+            backend,
+            now,
+            fuel_budget,
+            eff,
+            exec_scratch,
+            ..
+        } = self;
+        Exec::new(
+            program,
+            signals,
+            active_translation(compiled, *backend).map(|cp| &**cp),
+            *now,
+            *fuel_budget,
+            eff,
+            exec_scratch,
+        )
+    }
+
     /// Runs one ready process sequentially: execute on [`Exec`] (same
     /// engine the pool workers run), then commit the single buffered
     /// activation immediately — which replays the legacy unbuffered
     /// semantics bit-exactly.
     fn run_process(&mut self, pi: usize) -> Result<(), SimError> {
         let mut proc = std::mem::replace(&mut self.procs[pi], ProcState::empty());
-        // The backend dispatch seam: processes the translator declined
-        // stay on the interpreter, per process, forever.
-        let use_compiled = self.backend == Backend::Compiled
-            && self.compiled.as_ref().is_some_and(|cp| cp.proc_ok[pi]);
-        {
-            let Simulator {
-                program,
-                signals,
-                compiled,
-                now,
-                fuel_budget,
-                eff,
-                exec_scratch,
-                ..
-            } = &mut *self;
-            let mut ex = Exec {
-                program: &**program,
-                signals: &**signals,
-                compiled: compiled.as_deref(),
-                now: *now,
-                fuel_budget: *fuel_budget,
-                eff,
-                scratch: exec_scratch,
-                act_scheds: 0,
-            };
-            ex.run_activation(&mut proc, pi, use_compiled);
-        }
+        self.exec().run_activation(&mut proc, pi);
         self.procs[pi] = proc;
         self.commit_pending()?;
         if let Some(e) = &self.failed {
@@ -1214,10 +1197,9 @@ impl<'a> Simulator<'a> {
         let ctx = par::Ctx {
             program: Arc::clone(&self.program),
             signals: Arc::clone(&self.signals),
-            compiled: self.compiled.clone(),
+            compiled: active_translation(&self.compiled, self.backend).cloned(),
             now: self.now,
             fuel_budget: self.fuel_budget,
-            compiled_backend: self.backend == Backend::Compiled,
         };
         if self.par_profile {
             // Critical-path probe: run the chunks serialized on this
@@ -1420,32 +1402,47 @@ impl<'a> Simulator<'a> {
 }
 
 impl<'e> Exec<'e> {
+    /// An execution context over shared read-only state and a private
+    /// effects buffer. `compiled` is the translation to run on — `None`
+    /// whenever the interpreter is selected.
+    pub(crate) fn new(
+        program: &'e Program,
+        signals: &'e [SigState],
+        compiled: Option<&'e CompiledProgram>,
+        now: Time,
+        fuel_budget: u64,
+        eff: &'e mut Effects,
+        scratch: &'e mut Scratch,
+    ) -> Exec<'e> {
+        Exec {
+            program,
+            signals,
+            compiled,
+            now,
+            fuel_budget,
+            eff,
+            scratch,
+            act_scheds: 0,
+        }
+    }
+
     /// Runs one process activation to suspension or halt, recording its
     /// side effects as one activation record. Errors do not escape: a
     /// runtime error or pending failure rides in the record and is
     /// surfaced by the coordinator at commit, in seed scan order.
-    pub(crate) fn run_activation(&mut self, proc: &mut ProcState, pid: usize, use_compiled: bool) {
+    pub(crate) fn run_activation(&mut self, proc: &mut ProcState, pid: usize) {
         self.act_scheds = self.eff.scheds.len();
-        let budget = self.fuel_budget;
-        let mut fuel = budget;
-        let result = if use_compiled {
-            let cp = self.compiled.expect("compiled backend selected");
-            match self.exec_blocks(cp, proc, pid, &mut fuel) {
-                Ok(()) | Err(CErr::Halt) => Ok(()),
-                Err(CErr::Fuel) => {
-                    self.eff.fail(SimError::FuelExhausted(proc.name.clone()));
-                    proc.status = ProcStatus::Halted;
-                    Ok(())
-                }
-                Err(CErr::Rt(e)) => Err(e),
-            }
-        } else {
-            self.exec_inner(proc, false, pid, &mut fuel)
+        let mut fuel = self.fuel_budget;
+        // The backend dispatch seam: processes the translator declined
+        // stay on the interpreter, per process, forever.
+        let run = match self.compiled.filter(|cp| cp.proc_ok[pid]) {
+            Some(cp) => self.exec_blocks(cp, proc, pid, &mut fuel),
+            None => self.exec_inner(proc, pid, &mut fuel),
         };
         // Clone the name only on the error path: this runs once per
         // resumption, and a per-call clone is exactly the hot-loop
         // allocation the scheduler rewrite removed.
-        let failed = match result {
+        let failed = match self.settle(proc, run) {
             Ok(()) => self.eff.cur_failed.take(),
             Err(error) => {
                 self.eff.cur_failed = None;
@@ -1455,48 +1452,59 @@ impl<'e> Exec<'e> {
                 })
             }
         };
-        self.eff.acts.push(ActRecord {
-            pid: pid as u32,
-            sched_end: self.eff.scheds.len() as u32,
-            timeout_end: self.eff.timeouts.len() as u32,
-            report_end: self.eff.reports.len() as u32,
-            insns: budget - fuel,
-            blocks: std::mem::take(&mut self.eff.cur_blocks),
-            failed,
-        });
+        self.record(pid as u32, fuel, failed);
     }
 
-    /// Runs a pure function call (resolution) to completion, recording
-    /// its effects as one activation record with the `u32::MAX` pid
-    /// sentinel. The runtime error (if any) is returned to the caller —
-    /// the unbuffered kernel propagated it without recording a process
-    /// failure — while a pending assertion failure rides in the record.
+    /// Runs a pure function call (resolution) to completion on the
+    /// interpreter, recording its effects as one activation record with
+    /// the `u32::MAX` pid sentinel. The runtime error (if any) is returned
+    /// to the caller — the unbuffered kernel propagated it without
+    /// recording a process failure — while a pending assertion failure
+    /// rides in the record.
     fn run_pure(&mut self, proc: &mut ProcState) -> Result<(), RtError> {
         self.act_scheds = self.eff.scheds.len();
-        let budget = self.fuel_budget;
-        let mut fuel = budget;
-        let out = self.exec_inner(proc, true, usize::MAX, &mut fuel);
+        let mut fuel = self.fuel_budget;
+        let run = self.exec_inner(proc, PURE, &mut fuel);
+        let out = self.settle(proc, run);
         let failed = self.eff.cur_failed.take();
-        self.eff.acts.push(ActRecord {
-            pid: u32::MAX,
-            sched_end: self.eff.scheds.len() as u32,
-            timeout_end: self.eff.timeouts.len() as u32,
-            report_end: self.eff.reports.len() as u32,
-            insns: budget - fuel,
-            blocks: std::mem::take(&mut self.eff.cur_blocks),
-            failed,
-        });
+        self.record(u32::MAX, fuel, failed);
         out
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn exec_inner(
-        &mut self,
-        proc: &mut ProcState,
-        pure: bool,
-        pid: usize,
-        fuel: &mut u64,
-    ) -> Result<(), RtError> {
+    /// How an activation stopped, as seen by its record: fuel exhaustion
+    /// becomes the activation's failure and halts the process, a
+    /// recorded ending (assertion failure) is success, and runtime errors
+    /// pass through.
+    fn settle(&mut self, proc: &mut ProcState, run: Result<(), CErr>) -> Result<(), RtError> {
+        match run {
+            Ok(()) | Err(CErr::Halt) => Ok(()),
+            Err(CErr::Fuel) => {
+                self.eff.fail(SimError::FuelExhausted(proc.name.clone()));
+                proc.status = ProcStatus::Halted;
+                Ok(())
+            }
+            Err(CErr::Rt(e)) => Err(e),
+        }
+    }
+
+    /// Closes the in-flight activation: its effect spans end here.
+    fn record(&mut self, pid: u32, fuel_left: u64, failed: Option<SimError>) {
+        self.eff.acts.push(ActRecord {
+            pid,
+            sched_end: self.eff.scheds.len() as u32,
+            timeout_end: self.eff.timeouts.len() as u32,
+            report_end: self.eff.reports.len() as u32,
+            insns: self.fuel_budget - fuel_left,
+            blocks: std::mem::take(&mut self.eff.cur_blocks),
+            failed,
+        });
+    }
+
+    /// The interpreter: fetches and charges one instruction at a time.
+    /// Effects go through the helpers the compiled engine shares; every
+    /// other instruction is a pure value rule for [`Exec::eval`]. `pid`
+    /// is [`PURE`] for a resolution call, which may not wait.
+    fn exec_inner(&mut self, proc: &mut ProcState, pid: usize, fuel: &mut u64) -> Result<(), CErr> {
         'outer: loop {
             let Some(top) = proc.frames.last() else {
                 proc.status = ProcStatus::Halted;
@@ -1510,252 +1518,179 @@ impl<'e> Exec<'e> {
             let mut pc = top.pc;
             loop {
                 let Some(insn) = code.get(pc) else {
-                    // Falling off a subprogram = return; off a process = halt.
-                    if proc.frames.len() > 1 {
-                        proc.frames.pop();
+                    if leave_frame(proc, pc) {
                         continue 'outer;
                     }
-                    proc.frames.last_mut().expect("frame").pc = pc;
-                    proc.status = ProcStatus::Halted;
                     return Ok(());
                 };
                 pc += 1;
-                *fuel -= 1;
-                if *fuel == 0 {
-                    proc.frames.last_mut().expect("frame").pc = pc;
-                    self.eff.fail(SimError::FuelExhausted(proc.name.clone()));
-                    proc.status = ProcStatus::Halted;
-                    return Ok(());
+                if let Err(e) = charge(fuel) {
+                    set_pc(proc, pc);
+                    return Err(e);
                 }
                 match insn {
-                    Insn::PushInt(v) => proc.stack.push(Val::Int(*v)),
-                    Insn::PushReal(v) => proc.stack.push(Val::Real(*v)),
-                    Insn::PushConst(v) => proc.stack.push(v.clone()),
-                    Insn::MakeArr { n, left, dir } => {
-                        let at = proc.stack.len() - *n as usize;
-                        let data = proc.stack.split_off(at);
-                        proc.stack.push(Val::arr(*left, *dir, data));
-                    }
-                    Insn::MakeRec { n } => {
-                        let at = proc.stack.len() - *n as usize;
-                        let data = proc.stack.split_off(at);
-                        proc.stack.push(Val::Rec(Arc::new(data)));
-                    }
-                    Insn::LoadVar(a) => {
-                        let v = var_frame(proc, a.depth)?.locals[a.slot as usize].clone();
-                        proc.stack.push(v);
-                    }
                     Insn::StoreVar(a) => {
-                        let v = pop(proc)?;
-                        var_frame(proc, a.depth)?.locals[a.slot as usize] = v;
+                        let v = pop(&mut proc.stack)?;
+                        store_var(proc, *a, Place::Whole, v)?;
                     }
                     Insn::StoreVarIndex(a) => {
-                        let v = pop(proc)?;
-                        let idx = pop_int(proc)?;
-                        let fr = var_frame(proc, a.depth)?;
-                        let slot = &mut fr.locals[a.slot as usize];
-                        *slot = store_elem(slot, idx, v)?;
+                        let v = pop(&mut proc.stack)?;
+                        let i = pop_int(&mut proc.stack)?;
+                        store_var(proc, *a, Place::Elem(i), v)?;
                     }
                     Insn::StoreVarField(a, field) => {
-                        let v = pop(proc)?;
-                        let fr = var_frame(proc, a.depth)?;
-                        let slot = &mut fr.locals[a.slot as usize];
-                        if let Val::Rec(fields) = slot {
-                            let mut fs = (**fields).clone();
-                            fs[*field as usize] = v;
-                            *slot = Val::Rec(Arc::new(fs));
-                        } else {
-                            return Err(RtError::Internal("field store on non-record".into()));
-                        }
+                        let v = pop(&mut proc.stack)?;
+                        store_var(proc, *a, Place::Field(*field), v)?;
                     }
-                    Insn::LoadSig(s) => {
-                        proc.stack.push(self.signals[s.0 as usize].current.clone());
-                    }
-                    Insn::LoadSigAttr(s, attr) => {
-                        let sig = &self.signals[s.0 as usize];
-                        let v = match attr {
-                            SigAttr::Event => Val::Int(sig.event as i64),
-                            SigAttr::Active => Val::Int(sig.active as i64),
-                            SigAttr::LastValue => sig.last_value.clone(),
-                        };
-                        proc.stack.push(v);
-                    }
-                    Insn::Index => {
-                        let idx = pop_int(proc)?;
-                        let arr = pop(proc)?;
-                        let a = want_arr(&arr)?;
-                        let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
-                        proc.stack.push(a.data[off].clone());
-                    }
-                    Insn::Slice(dir) => {
-                        let right = pop_int(proc)?;
-                        let left = pop_int(proc)?;
-                        let arr = pop(proc)?;
-                        let a = want_arr(&arr)?;
-                        let (o1, o2) = (
-                            a.offset(left).ok_or(RtError::IndexError { index: left })?,
-                            a.offset(right)
-                                .ok_or(RtError::IndexError { index: right })?,
-                        );
-                        let (lo, hi) = (o1.min(o2), o1.max(o2));
-                        let data = a.data[lo..=hi].to_vec();
-                        proc.stack.push(Val::arr(left, *dir, data));
-                    }
-                    Insn::ArrAttr(kind) => {
-                        let v = pop(proc)?;
-                        let a = want_arr(&v)?;
-                        let (l, r) = (a.left, a.right());
-                        let out = match kind {
-                            crate::isa::ArrAttrKind::Length => a.data.len() as i64,
-                            crate::isa::ArrAttrKind::Left => l,
-                            crate::isa::ArrAttrKind::Right => r,
-                            crate::isa::ArrAttrKind::Low => l.min(r),
-                            crate::isa::ArrAttrKind::High => l.max(r),
-                        };
-                        proc.stack.push(Val::Int(out));
-                    }
-                    Insn::Field(i) => {
-                        let v = pop(proc)?;
-                        match v {
-                            Val::Rec(fields) => proc.stack.push(fields[*i as usize].clone()),
-                            _ => return Err(RtError::Internal("field on non-record".into())),
-                        }
-                    }
-                    Insn::Binop(op) => {
-                        let b = pop(proc)?;
-                        let a = pop(proc)?;
-                        proc.stack.push(rts::binop(*op, &a, &b)?);
-                    }
-                    Insn::Unop(op) => {
-                        let a = pop(proc)?;
-                        proc.stack.push(rts::unop(*op, &a)?);
-                    }
-                    Insn::RangeCheck { lo, hi } => {
-                        let v = want_int(proc.stack.last().ok_or_else(underflow)?)?;
-                        if v < *lo || v > *hi {
-                            return Err(RtError::RangeError {
-                                value: v,
-                                lo: *lo,
-                                hi: *hi,
-                            });
-                        }
-                    }
-                    Insn::Jump(t) => {
-                        pc = *t as usize;
-                    }
+                    Insn::Jump(t) => pc = *t as usize,
                     Insn::JumpIfFalse(t) => {
-                        let c = pop_int(proc)? != 0;
-                        if !c {
+                        if pop_int(&mut proc.stack)? == 0 {
                             pc = *t as usize;
                         }
                     }
                     Insn::Sched { sig, transport } => {
-                        let delay = pop_int(proc)?;
-                        let value = pop(proc)?;
+                        let delay = pop_int(&mut proc.stack)?;
+                        let value = pop(&mut proc.stack)?;
                         self.sched(pid, *sig, value, delay, *transport, None)?;
                     }
                     Insn::SchedIndex { sig, transport } => {
-                        let delay = pop_int(proc)?;
-                        let value = pop(proc)?;
-                        let index = pop_int(proc)?;
+                        let delay = pop_int(&mut proc.stack)?;
+                        let value = pop(&mut proc.stack)?;
+                        let index = pop_int(&mut proc.stack)?;
                         self.sched(pid, *sig, value, delay, *transport, Some(index))?;
                     }
                     Insn::Wait { sens, with_timeout } => {
-                        if pure {
-                            return Err(RtError::Internal("wait in a pure function".into()));
+                        if pid == PURE {
+                            return Err(RtError::Internal("wait in a pure function".into()).into());
                         }
                         let timeout = if *with_timeout {
-                            let fs = pop_int(proc)?;
-                            // A zero-duration wait resumes in the *next
-                            // delta cycle* (LRM 8.1); `plus_fs(0)` would
-                            // reset the delta and land in the past,
-                            // pinning time while this process's own
-                            // delta-delayed drivers starve unmatured.
-                            let t = if fs <= 0 {
-                                self.now.next_delta()
-                            } else {
-                                self.now.plus_fs(fs as u64)
-                            };
-                            self.eff.timeouts.push(t);
-                            Some(t)
+                            Some(pop_int(&mut proc.stack)?)
                         } else {
                             None
                         };
-                        proc.frames.last_mut().expect("frame").pc = pc;
-                        proc.status = ProcStatus::Suspended {
-                            sens: Arc::clone(sens),
-                            timeout,
-                        };
-                        return Ok(());
+                        return Ok(self.suspend(proc, sens, timeout, pc)?);
                     }
                     Insn::Call(f) => {
-                        let decl = &self.program.functions[f.0 as usize];
-                        let (n_params, n_locals, level) =
-                            (decl.n_params, decl.n_locals, decl.level);
-                        let callee = Arc::clone(&decl.code);
-                        let at = proc.stack.len() - n_params as usize;
-                        let args = proc.stack.split_off(at);
-                        let mut locals = vec![Val::Int(0); n_locals as usize];
-                        for (i, a) in args.into_iter().enumerate() {
-                            locals[i] = a;
-                        }
-                        // Static link: nearest frame one level shallower.
-                        let static_link = proc.frames.iter().rposition(|fr| fr.level + 1 == level);
-                        let unit = (self.program.processes.len() + f.0 as usize) as u32;
-                        proc.frames.last_mut().expect("frame").pc = pc;
-                        proc.frames.push(Frame {
-                            code: callee,
-                            pc: 0,
-                            locals,
-                            static_link,
-                            level,
-                            unit,
-                        });
+                        self.push_call(proc, *f, pc);
                         continue 'outer;
                     }
                     Insn::Ret { has_value: _ } => {
-                        if proc.frames.len() > 1 {
-                            proc.frames.pop();
+                        if leave_frame(proc, pc) {
                             continue 'outer;
                         }
-                        proc.frames.last_mut().expect("frame").pc = pc;
-                        proc.status = ProcStatus::Halted;
                         return Ok(());
                     }
                     Insn::Assert => {
-                        let severity = pop_int(proc)?;
-                        let report = pop(proc)?;
-                        let cond = pop_int(proc)? != 0;
-                        if !cond {
-                            let ev = ReportEvent {
-                                time: self.now,
-                                severity,
-                                text: report.as_string(),
-                            };
-                            self.eff.reports.push(ev.clone());
-                            if severity >= 3 {
-                                proc.frames.last_mut().expect("frame").pc = pc;
-                                self.eff.fail(SimError::Failure(ev));
-                                proc.status = ProcStatus::Halted;
-                                return Ok(());
-                            }
-                        }
+                        let severity = pop_int(&mut proc.stack)?;
+                        let report = pop(&mut proc.stack)?;
+                        let cond = pop_int(&mut proc.stack)? != 0;
+                        self.assert(proc, cond, report, severity, pc)?;
                     }
                     Insn::Pop => {
-                        pop(proc)?;
-                    }
-                    Insn::Dup => {
-                        let v = proc.stack.last().ok_or_else(underflow)?.clone();
-                        proc.stack.push(v);
+                        pop(&mut proc.stack)?;
                     }
                     Insn::Halt => {
-                        proc.frames.last_mut().expect("frame").pc = pc;
-                        proc.status = ProcStatus::Halted;
+                        halt(proc, pc);
                         return Ok(());
                     }
+                    value => self.eval(&proc.frames, &mut proc.stack, value)?,
                 }
             }
         }
+    }
+
+    /// Evaluates one pure value instruction on the stack `st`: the single
+    /// definition of every value rule. The interpreter and compiled raw
+    /// steps run it on the process stack, generic tapes on their scratch
+    /// stack; `frames` resolves variable loads.
+    // Forced inline: as an out-of-line call the interpreter loses about
+    // 15% of its instruction rate (perfbench `simulate`).
+    #[inline(always)]
+    fn eval(&self, frames: &[Frame], st: &mut Vec<Val>, insn: &Insn) -> Result<(), RtError> {
+        let v = match insn {
+            Insn::PushInt(v) => Val::Int(*v),
+            Insn::PushReal(v) => Val::Real(*v),
+            Insn::PushConst(v) => v.clone(),
+            Insn::LoadVar(a) => frames[frame_at(frames, a.depth)?].locals[a.slot as usize].clone(),
+            Insn::LoadSig(s) => self.signals[s.0 as usize].current.clone(),
+            Insn::LoadSigAttr(s, attr) => {
+                let sig = &self.signals[s.0 as usize];
+                match attr {
+                    SigAttr::Event => Val::Int(sig.event as i64),
+                    SigAttr::Active => Val::Int(sig.active as i64),
+                    SigAttr::LastValue => sig.last_value.clone(),
+                }
+            }
+            Insn::MakeArr { n, left, dir } => {
+                let data = st.split_off(st.len() - *n as usize);
+                Val::arr(*left, *dir, data)
+            }
+            Insn::MakeRec { n } => Val::Rec(Arc::new(st.split_off(st.len() - *n as usize))),
+            Insn::Index => {
+                let idx = pop_int(st)?;
+                let arr = pop(st)?;
+                let a = want_arr(&arr)?;
+                let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
+                a.data[off].clone()
+            }
+            Insn::Slice(dir) => {
+                let right = pop_int(st)?;
+                let left = pop_int(st)?;
+                let arr = pop(st)?;
+                let a = want_arr(&arr)?;
+                let (o1, o2) = (
+                    a.offset(left).ok_or(RtError::IndexError { index: left })?,
+                    a.offset(right)
+                        .ok_or(RtError::IndexError { index: right })?,
+                );
+                let (lo, hi) = (o1.min(o2), o1.max(o2));
+                Val::arr(left, *dir, a.data[lo..=hi].to_vec())
+            }
+            Insn::Field(i) => match pop(st)? {
+                Val::Rec(fields) => fields[*i as usize].clone(),
+                _ => return Err(RtError::Internal("field on non-record".into())),
+            },
+            Insn::ArrAttr(kind) => {
+                let v = pop(st)?;
+                let a = want_arr(&v)?;
+                let (l, r) = (a.left, a.right());
+                Val::Int(match kind {
+                    ArrAttrKind::Length => a.data.len() as i64,
+                    ArrAttrKind::Left => l,
+                    ArrAttrKind::Right => r,
+                    ArrAttrKind::Low => l.min(r),
+                    ArrAttrKind::High => l.max(r),
+                })
+            }
+            Insn::Binop(op) => {
+                let b = pop(st)?;
+                let a = pop(st)?;
+                rts::binop(*op, &a, &b)?
+            }
+            Insn::Unop(op) => {
+                let a = pop(st)?;
+                rts::unop(*op, &a)?
+            }
+            Insn::RangeCheck { lo, hi } => {
+                let v = want_int(st.last().ok_or_else(underflow)?)?;
+                if v < *lo || v > *hi {
+                    return Err(RtError::RangeError {
+                        value: v,
+                        lo: *lo,
+                        hi: *hi,
+                    });
+                }
+                return Ok(());
+            }
+            Insn::Dup => st.last().ok_or_else(underflow)?.clone(),
+            other => {
+                return Err(RtError::Internal(format!(
+                    "not a value instruction: {other:?}"
+                )))
+            }
+        };
+        st.push(v);
+        Ok(())
     }
 
     /// The compiled backend's engine: runs threaded basic blocks until
@@ -1771,15 +1706,6 @@ impl<'e> Exec<'e> {
         pid: usize,
         fuel: &mut u64,
     ) -> Result<(), CErr> {
-        // Charge one instruction; at zero the instruction is *not*
-        // executed (the interpreter bails between fetch and dispatch).
-        fn charge(fuel: &mut u64) -> Result<(), CErr> {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
-            }
-            Ok(())
-        }
         'frames: loop {
             let Some(top) = proc.frames.last() else {
                 proc.status = ProcStatus::Halted;
@@ -1831,79 +1757,39 @@ impl<'e> Exec<'e> {
                             Some(arg) => {
                                 let pre = self.eval_arg(proc, arg, fuel)?;
                                 charge(fuel)?;
-                                let fs = take_int(proc, pre)?;
-                                // Zero-duration wait: next delta, as in
-                                // the interpreter's `Insn::Wait` above.
-                                let t = if fs <= 0 {
-                                    self.now.next_delta()
-                                } else {
-                                    self.now.plus_fs(fs as u64)
-                                };
-                                self.eff.timeouts.push(t);
-                                Some(t)
+                                Some(take_int(proc, pre)?)
                             }
                             None => {
                                 charge(fuel)?;
                                 None
                             }
                         };
-                        proc.frames.last_mut().expect("frame").pc = *resume_pc as usize;
-                        proc.status = ProcStatus::Suspended {
-                            sens: Arc::clone(sens),
-                            timeout,
-                        };
-                        return Ok(());
+                        return Ok(self.suspend(proc, sens, timeout, *resume_pc as usize)?);
                     }
                     Term::Call { f, ret_pc } => {
                         charge(fuel)?;
-                        let decl = &self.program.functions[f.0 as usize];
-                        let (n_params, n_locals, level) =
-                            (decl.n_params, decl.n_locals, decl.level);
-                        let callee = Arc::clone(&decl.code);
-                        let at = proc.stack.len() - n_params as usize;
-                        let args = proc.stack.split_off(at);
-                        let mut locals = vec![Val::Int(0); n_locals as usize];
-                        for (i, a) in args.into_iter().enumerate() {
-                            locals[i] = a;
-                        }
-                        let static_link = proc.frames.iter().rposition(|fr| fr.level + 1 == level);
-                        proc.frames.last_mut().expect("frame").pc = *ret_pc as usize;
-                        proc.frames.push(Frame {
-                            code: callee,
-                            pc: 0,
-                            locals,
-                            static_link,
-                            level,
-                            unit: cp.fn_unit(*f) as u32,
-                        });
+                        self.push_call(proc, *f, *ret_pc as usize);
                         continue 'frames;
                     }
                     Term::Ret { end_pc } => {
                         charge(fuel)?;
-                        if proc.frames.len() > 1 {
-                            proc.frames.pop();
+                        if leave_frame(proc, *end_pc as usize) {
                             continue 'frames;
                         }
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
                         return Ok(());
                     }
                     Term::Halt { end_pc } => {
                         charge(fuel)?;
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
+                        halt(proc, *end_pc as usize);
                         return Ok(());
                     }
                     Term::FallOff { end_pc } => {
                         // Running off the end charges nothing: the
                         // interpreter's fetch fails before the fuel is
                         // touched.
-                        if proc.frames.len() > 1 {
-                            proc.frames.pop();
+                        if leave_frame(proc, *end_pc as usize) {
                             continue 'frames;
                         }
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
                         return Ok(());
                     }
                     Term::Dead => {
@@ -1928,13 +1814,6 @@ impl<'e> Exec<'e> {
         step: &Step,
         fuel: &mut u64,
     ) -> Result<(), CErr> {
-        fn charge(fuel: &mut u64) -> Result<(), CErr> {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
-            }
-            Ok(())
-        }
         match step {
             Step::Push(tape) => {
                 let v = self.run_tape(proc, tape, fuel)?;
@@ -1942,7 +1821,7 @@ impl<'e> Exec<'e> {
             }
             Step::PopRt => {
                 charge(fuel)?;
-                pop(proc)?;
+                pop(&mut proc.stack)?;
             }
             Step::Drop(tape) => {
                 self.run_tape(proc, tape, fuel)?;
@@ -1950,13 +1829,13 @@ impl<'e> Exec<'e> {
             }
             Step::Raw(insn) => {
                 charge(fuel)?;
-                self.raw_insn(proc, insn)?;
+                self.eval(&proc.frames, &mut proc.stack, insn)?;
             }
             Step::Store { addr, val } => {
                 let v_pre = self.eval_arg(proc, val, fuel)?;
                 charge(fuel)?;
                 let v = take(proc, v_pre)?;
-                var_frame(proc, addr.depth)?.locals[addr.slot as usize] = v;
+                store_var(proc, *addr, Place::Whole, v)?;
             }
             Step::StoreIndex { addr, idx, val } => {
                 let i_pre = self.eval_arg(proc, idx, fuel)?;
@@ -1964,25 +1843,13 @@ impl<'e> Exec<'e> {
                 charge(fuel)?;
                 let v = take(proc, v_pre)?;
                 let i = take_int(proc, i_pre)?;
-                let fr = var_frame(proc, addr.depth)?;
-                let slot = &mut fr.locals[addr.slot as usize];
-                *slot = store_elem(slot, i, v)?;
+                store_var(proc, *addr, Place::Elem(i), v)?;
             }
             Step::StoreField { addr, field, val } => {
                 let v_pre = self.eval_arg(proc, val, fuel)?;
                 charge(fuel)?;
                 let v = take(proc, v_pre)?;
-                let fr = var_frame(proc, addr.depth)?;
-                let slot = &mut fr.locals[addr.slot as usize];
-                if let Val::Rec(fields) = slot {
-                    let mut fs = (**fields).clone();
-                    fs[*field as usize] = v;
-                    *slot = Val::Rec(Arc::new(fs));
-                } else {
-                    return Err(CErr::Rt(RtError::Internal(
-                        "field store on non-record".into(),
-                    )));
-                }
+                store_var(proc, *addr, Place::Field(*field), v)?;
             }
             Step::Sched {
                 sig,
@@ -2026,108 +1893,7 @@ impl<'e> Exec<'e> {
                 let severity = take_int(proc, s_pre)?;
                 let report = take(proc, r_pre)?;
                 let cond = take_int(proc, c_pre)? != 0;
-                if !cond {
-                    let ev = ReportEvent {
-                        time: self.now,
-                        severity,
-                        text: report.as_string(),
-                    };
-                    self.eff.reports.push(ev.clone());
-                    if severity >= 3 {
-                        proc.frames.last_mut().expect("frame").pc = *pc_after as usize;
-                        self.eff.fail(SimError::Failure(ev));
-                        proc.status = ProcStatus::Halted;
-                        return Err(CErr::Halt);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one materialized instruction on the process value stack,
-    /// exactly as the interpreter would (only pure value instructions can
-    /// reach here: combiners whose operands crossed a block boundary).
-    fn raw_insn(&mut self, proc: &mut ProcState, insn: &Insn) -> Result<(), RtError> {
-        match insn {
-            Insn::MakeArr { n, left, dir } => {
-                let at = proc.stack.len() - *n as usize;
-                let data = proc.stack.split_off(at);
-                proc.stack.push(Val::arr(*left, *dir, data));
-            }
-            Insn::MakeRec { n } => {
-                let at = proc.stack.len() - *n as usize;
-                let data = proc.stack.split_off(at);
-                proc.stack.push(Val::Rec(Arc::new(data)));
-            }
-            Insn::Index => {
-                let idx = pop_int(proc)?;
-                let arr = pop(proc)?;
-                let a = want_arr(&arr)?;
-                let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
-                proc.stack.push(a.data[off].clone());
-            }
-            Insn::Slice(dir) => {
-                let right = pop_int(proc)?;
-                let left = pop_int(proc)?;
-                let arr = pop(proc)?;
-                let a = want_arr(&arr)?;
-                let (o1, o2) = (
-                    a.offset(left).ok_or(RtError::IndexError { index: left })?,
-                    a.offset(right)
-                        .ok_or(RtError::IndexError { index: right })?,
-                );
-                let (lo, hi) = (o1.min(o2), o1.max(o2));
-                let data = a.data[lo..=hi].to_vec();
-                proc.stack.push(Val::arr(left, *dir, data));
-            }
-            Insn::Field(i) => {
-                let v = pop(proc)?;
-                match v {
-                    Val::Rec(fields) => proc.stack.push(fields[*i as usize].clone()),
-                    _ => return Err(RtError::Internal("field on non-record".into())),
-                }
-            }
-            Insn::ArrAttr(kind) => {
-                let v = pop(proc)?;
-                let a = want_arr(&v)?;
-                let (l, r) = (a.left, a.right());
-                let out = match kind {
-                    crate::isa::ArrAttrKind::Length => a.data.len() as i64,
-                    crate::isa::ArrAttrKind::Left => l,
-                    crate::isa::ArrAttrKind::Right => r,
-                    crate::isa::ArrAttrKind::Low => l.min(r),
-                    crate::isa::ArrAttrKind::High => l.max(r),
-                };
-                proc.stack.push(Val::Int(out));
-            }
-            Insn::Binop(op) => {
-                let b = pop(proc)?;
-                let a = pop(proc)?;
-                proc.stack.push(rts::binop(*op, &a, &b)?);
-            }
-            Insn::Unop(op) => {
-                let a = pop(proc)?;
-                proc.stack.push(rts::unop(*op, &a)?);
-            }
-            Insn::RangeCheck { lo, hi } => {
-                let v = want_int(proc.stack.last().ok_or_else(underflow)?)?;
-                if v < *lo || v > *hi {
-                    return Err(RtError::RangeError {
-                        value: v,
-                        lo: *lo,
-                        hi: *hi,
-                    });
-                }
-            }
-            Insn::Dup => {
-                let v = proc.stack.last().ok_or_else(underflow)?.clone();
-                proc.stack.push(v);
-            }
-            other => {
-                return Err(RtError::Internal(format!(
-                    "unexpected raw instruction {other:?}"
-                )))
+                self.assert(proc, cond, report, severity, *pc_after as usize)?;
             }
         }
         Ok(())
@@ -2161,7 +1927,7 @@ impl<'e> Exec<'e> {
             if *fuel > it.cost {
                 let mut st = std::mem::take(&mut self.scratch.tape_ints);
                 st.clear();
-                let out = self.tape_int_inner(proc, it, fuel, &mut st);
+                let out = self.tape_int_inner(&proc.frames, it, fuel, &mut st);
                 self.scratch.tape_ints = st;
                 match out? {
                     IntRun::Done(v) => return Ok(Val::Int(v)),
@@ -2171,9 +1937,25 @@ impl<'e> Exec<'e> {
         }
         let mut st = std::mem::take(&mut self.scratch.tape_vals);
         st.clear();
-        let out = self.tape_val_inner(proc, &tape.ops, fuel, &mut st);
+        let out = self.eval_tape(&proc.frames, &tape.ops, fuel, &mut st);
         self.scratch.tape_vals = st;
         out
+    }
+
+    /// The generic tape loop: each source instruction is charged, then
+    /// evaluated by [`Exec::eval`] on the tape scratch stack.
+    fn eval_tape(
+        &self,
+        frames: &[Frame],
+        ops: &[Insn],
+        fuel: &mut u64,
+        st: &mut Vec<Val>,
+    ) -> Result<Val, CErr> {
+        for insn in ops {
+            charge(fuel)?;
+            self.eval(frames, st, insn)?;
+        }
+        Ok(pop(st)?)
     }
 
     /// The unboxed integer evaluator over the fused op stream: raw
@@ -2183,8 +1965,8 @@ impl<'e> Exec<'e> {
     /// charges through the failing source operation (`IntTape::ends`) —
     /// all exactly what the interpreter would have charged.
     fn tape_int_inner(
-        &mut self,
-        proc: &mut ProcState,
+        &self,
+        frames: &[Frame],
         it: &compile::IntTape,
         fuel: &mut u64,
         st: &mut Vec<i64>,
@@ -2225,8 +2007,8 @@ impl<'e> Exec<'e> {
                             Err(e) => break 'run e,
                         }
                     }
-                    IntOp::Local(a) => match var_frame(proc, a.depth) {
-                        Ok(fr) => match &fr.locals[a.slot as usize] {
+                    IntOp::Local(a) => match frame_at(frames, a.depth) {
+                        Ok(fi) => match &frames[fi].locals[a.slot as usize] {
                             Val::Int(x) => {
                                 st.push(tos);
                                 tos = *x;
@@ -2287,112 +2069,99 @@ impl<'e> Exec<'e> {
         Err(CErr::Rt(fault))
     }
 
-    /// The generic tape evaluator: boxed values, per-operation fuel
-    /// accounting, the interpreter's exact error messages.
-    #[allow(clippy::too_many_lines)]
-    fn tape_val_inner(
+    /// The instant `fs` femtoseconds from now — the one delay rule of
+    /// `wait for` timeouts and signal assignments. A zero delay lands in
+    /// the *next delta cycle* (`plus_fs(0)` would reset the delta and
+    /// land in the past, pinning time while delta-delayed drivers starve
+    /// unmatured); a negative delay is an error (VHDL-87 §8.1, §8.3).
+    fn after(&self, fs: i64) -> Result<Time, RtError> {
+        match fs {
+            0 => Ok(self.now.next_delta()),
+            1.. => Ok(self.now.plus_fs(fs as u64)),
+            _ => Err(RtError::NegativeDelay(fs)),
+        }
+    }
+
+    /// Suspends the process on `sens`, with an optional `wait for`
+    /// timeout in fs; `resume_pc` is the instruction the next activation
+    /// starts at.
+    fn suspend(
         &mut self,
         proc: &mut ProcState,
-        ops: &[EOp],
-        fuel: &mut u64,
-        st: &mut Vec<Val>,
-    ) -> Result<Val, CErr> {
-        for op in ops {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
+        sens: &Arc<Vec<SigId>>,
+        timeout_fs: Option<i64>,
+        resume_pc: usize,
+    ) -> Result<(), RtError> {
+        let timeout = match timeout_fs {
+            Some(fs) => {
+                let t = self.after(fs)?;
+                self.eff.timeouts.push(t);
+                Some(t)
             }
-            match op {
-                EOp::Int(v) => st.push(Val::Int(*v)),
-                EOp::Real(v) => st.push(Val::Real(*v)),
-                EOp::Const(v) => st.push(v.clone()),
-                EOp::Local(a) => {
-                    let v = var_frame(proc, a.depth)?.locals[a.slot as usize].clone();
-                    st.push(v);
-                }
-                EOp::Sig(s) => st.push(self.signals[s.0 as usize].current.clone()),
-                EOp::Attr(s, attr) => {
-                    let sig = &self.signals[s.0 as usize];
-                    let v = match attr {
-                        SigAttr::Event => Val::Int(sig.event as i64),
-                        SigAttr::Active => Val::Int(sig.active as i64),
-                        SigAttr::LastValue => sig.last_value.clone(),
-                    };
-                    st.push(v);
-                }
-                EOp::MakeArr { n, left, dir } => {
-                    let at = st.len() - *n as usize;
-                    let data = st.split_off(at);
-                    st.push(Val::arr(*left, *dir, data));
-                }
-                EOp::MakeRec { n } => {
-                    let at = st.len() - *n as usize;
-                    let data = st.split_off(at);
-                    st.push(Val::Rec(Arc::new(data)));
-                }
-                EOp::Index => {
-                    let idx = spop_int(st)?;
-                    let arr = spop(st)?;
-                    let a = want_arr(&arr)?;
-                    let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
-                    st.push(a.data[off].clone());
-                }
-                EOp::Slice(dir) => {
-                    let right = spop_int(st)?;
-                    let left = spop_int(st)?;
-                    let arr = spop(st)?;
-                    let a = want_arr(&arr)?;
-                    let (o1, o2) = (
-                        a.offset(left).ok_or(RtError::IndexError { index: left })?,
-                        a.offset(right)
-                            .ok_or(RtError::IndexError { index: right })?,
-                    );
-                    let (lo, hi) = (o1.min(o2), o1.max(o2));
-                    let data = a.data[lo..=hi].to_vec();
-                    st.push(Val::arr(left, *dir, data));
-                }
-                EOp::Field(i) => {
-                    let v = spop(st)?;
-                    match v {
-                        Val::Rec(fields) => st.push(fields[*i as usize].clone()),
-                        _ => return Err(CErr::Rt(RtError::Internal("field on non-record".into()))),
-                    }
-                }
-                EOp::ArrAttr(kind) => {
-                    let v = spop(st)?;
-                    let a = want_arr(&v)?;
-                    let (l, r) = (a.left, a.right());
-                    let out = match kind {
-                        crate::isa::ArrAttrKind::Length => a.data.len() as i64,
-                        crate::isa::ArrAttrKind::Left => l,
-                        crate::isa::ArrAttrKind::Right => r,
-                        crate::isa::ArrAttrKind::Low => l.min(r),
-                        crate::isa::ArrAttrKind::High => l.max(r),
-                    };
-                    st.push(Val::Int(out));
-                }
-                EOp::Binop(op) => {
-                    let b = spop(st)?;
-                    let a = spop(st)?;
-                    st.push(rts::binop(*op, &a, &b)?);
-                }
-                EOp::Unop(op) => {
-                    let a = spop(st)?;
-                    st.push(rts::unop(*op, &a)?);
-                }
-                EOp::RangeCheck { lo, hi } => {
-                    let v = want_int(st.last().ok_or_else(underflow)?)?;
-                    if v < *lo || v > *hi {
-                        return Err(CErr::Rt(RtError::RangeError {
-                            value: v,
-                            lo: *lo,
-                            hi: *hi,
-                        }));
-                    }
-                }
-            }
+            None => None,
+        };
+        set_pc(proc, resume_pc);
+        proc.status = ProcStatus::Suspended {
+            sens: Arc::clone(sens),
+            timeout,
+        };
+        Ok(())
+    }
+
+    /// Enters subprogram `f`: its arguments (rightmost on top) leave the
+    /// value stack for the new frame's first locals, and the caller
+    /// resumes at `ret_pc`.
+    fn push_call(&self, proc: &mut ProcState, f: FnId, ret_pc: usize) {
+        let decl = &self.program.functions[f.0 as usize];
+        let at = proc.stack.len() - decl.n_params as usize;
+        let args = proc.stack.split_off(at);
+        let mut locals = vec![Val::Int(0); decl.n_locals as usize];
+        for (i, a) in args.into_iter().enumerate() {
+            locals[i] = a;
         }
-        spop(st).map_err(CErr::Rt)
+        // Static link: nearest frame one level shallower.
+        let static_link = proc
+            .frames
+            .iter()
+            .rposition(|fr| fr.level + 1 == decl.level);
+        set_pc(proc, ret_pc);
+        proc.frames.push(Frame {
+            code: Arc::clone(&decl.code),
+            pc: 0,
+            locals,
+            static_link,
+            level: decl.level,
+            unit: (self.program.processes.len() + f.0 as usize) as u32,
+        });
+    }
+
+    /// An executed `assert`: when `cond` is false, buffer the report; at
+    /// severity failure also record the activation's failure and halt
+    /// the process at `pc` (`Err(CErr::Halt)` ends the activation).
+    fn assert(
+        &mut self,
+        proc: &mut ProcState,
+        cond: bool,
+        report: Val,
+        severity: i64,
+        pc: usize,
+    ) -> Result<(), CErr> {
+        if cond {
+            return Ok(());
+        }
+        let ev = ReportEvent {
+            time: self.now,
+            severity,
+            text: report.as_string(),
+        };
+        if severity < 3 {
+            self.eff.reports.push(ev);
+            return Ok(());
+        }
+        self.eff.reports.push(ev.clone());
+        halt(proc, pc);
+        self.eff.fail(SimError::Failure(ev));
+        Err(CErr::Halt)
     }
 
     /// The execution half of a signal assignment: validate the delay,
@@ -2410,18 +2179,8 @@ impl<'e> Exec<'e> {
         transport: bool,
         index: Option<i64>,
     ) -> Result<(), RtError> {
-        if delay_fs < -1 {
-            // −1 is the compiler's "no delay" marker; anything more
-            // negative is a model error (LRM: delays must be non-negative).
-            return Err(RtError::Internal(format!(
-                "negative signal-assignment delay ({delay_fs} fs)"
-            )));
-        }
-        let t = if delay_fs <= 0 {
-            self.now.next_delta()
-        } else {
-            self.now.plus_fs(delay_fs as u64)
-        };
+        // −1 is the compiler's "no delay" marker: the next delta cycle.
+        let t = self.after(if delay_fs == -1 { 0 } else { delay_fs })?;
         let sig_state = &self.signals[sig.0 as usize];
         // Array assignment implies a subtype conversion: the value takes
         // the target's bounds (same length required).
@@ -2472,6 +2231,15 @@ impl<'e> Exec<'e> {
     }
 }
 
+/// The translation activations run on: present only while the compiled
+/// backend is selected.
+fn active_translation(
+    compiled: &Option<Arc<CompiledProgram>>,
+    backend: Backend,
+) -> Option<&Arc<CompiledProgram>> {
+    compiled.as_ref().filter(|_| backend == Backend::Compiled)
+}
+
 /// Executes one worker's chunk of the cycle's ready set against the
 /// shared read-only context, buffering every side effect in `buf`. Runs
 /// on pool workers and (for the critical-path profile and jobs=1) on the
@@ -2483,20 +2251,17 @@ pub(crate) fn run_chunk(ctx: &par::Ctx, buf: &mut JobBuf) {
         scratch,
         ..
     } = buf;
-    let mut ex = Exec {
-        program: &ctx.program,
-        signals: &ctx.signals,
-        compiled: ctx.compiled.as_deref(),
-        now: ctx.now,
-        fuel_budget: ctx.fuel_budget,
+    let mut ex = Exec::new(
+        &ctx.program,
+        &ctx.signals,
+        ctx.compiled.as_deref(),
+        ctx.now,
+        ctx.fuel_budget,
         eff,
         scratch,
-        act_scheds: 0,
-    };
+    );
     for (pid, proc) in procs.iter_mut() {
-        let pi = *pid as usize;
-        let use_compiled = ctx.compiled_backend && ex.compiled.is_some_and(|cp| cp.proc_ok[pi]);
-        ex.run_activation(proc, pi, use_compiled);
+        ex.run_activation(proc, *pid as usize);
     }
 }
 
@@ -2636,19 +2401,29 @@ impl<'a> Simulator<'a> {
     }
 }
 
-fn pop(proc: &mut ProcState) -> Result<Val, RtError> {
-    proc.stack.pop().ok_or_else(underflow)
+/// The `pid` of a pure function call (resolution): no process, no waits.
+const PURE: usize = usize::MAX;
+
+/// Charges one instruction; at zero the instruction is *not* executed
+/// (both engines bail between fetch and dispatch).
+fn charge(fuel: &mut u64) -> Result<(), CErr> {
+    *fuel -= 1;
+    if *fuel == 0 {
+        return Err(CErr::Fuel);
+    }
+    Ok(())
+}
+
+fn pop(st: &mut Vec<Val>) -> Result<Val, RtError> {
+    st.pop().ok_or_else(underflow)
 }
 
 /// Pops an integer (enumeration position, boolean, delay). The IR is
 /// typed, so a mismatch is a code-generator bug — but it must surface as
 /// a per-process [`RtError`], not a panic that takes the host (a `vhdld`
 /// worker, a batch thread) down with it.
-fn pop_int(proc: &mut ProcState) -> Result<i64, RtError> {
-    match pop(proc)? {
-        Val::Int(i) => Ok(i),
-        v => Err(RtError::Internal(format!("expected integer, got {v}"))),
-    }
+fn pop_int(st: &mut Vec<Val>) -> Result<i64, RtError> {
+    want_int(&pop(st)?)
 }
 
 /// Checked view of a value as an array (see [`pop_int`] on why this is an
@@ -2674,34 +2449,16 @@ fn underflow() -> RtError {
 
 /// Takes a step operand: the pre-evaluated tape value, or the top of the
 /// process value stack for a materialized operand.
-fn take(proc: &mut ProcState, pre: Option<Val>) -> Result<Val, CErr> {
+fn take(proc: &mut ProcState, pre: Option<Val>) -> Result<Val, RtError> {
     match pre {
         Some(v) => Ok(v),
-        None => pop(proc).map_err(CErr::Rt),
+        None => pop(&mut proc.stack),
     }
 }
 
 /// [`take`] with the interpreter's integer check and message.
-fn take_int(proc: &mut ProcState, pre: Option<Val>) -> Result<i64, CErr> {
-    match take(proc, pre)? {
-        Val::Int(i) => Ok(i),
-        v => Err(CErr::Rt(RtError::Internal(format!(
-            "expected integer, got {v}"
-        )))),
-    }
-}
-
-/// Pops the tape scratch stack.
-fn spop(st: &mut Vec<Val>) -> Result<Val, RtError> {
-    st.pop().ok_or_else(underflow)
-}
-
-/// Pops the tape scratch stack, expecting an integer.
-fn spop_int(st: &mut Vec<Val>) -> Result<i64, RtError> {
-    match spop(st)? {
-        Val::Int(i) => Ok(i),
-        v => Err(RtError::Internal(format!("expected integer, got {v}"))),
-    }
+fn take_int(proc: &mut ProcState, pre: Option<Val>) -> Result<i64, RtError> {
+    want_int(&take(proc, pre)?)
 }
 
 /// Integer-domain binary operation, byte-for-byte the semantics of
@@ -2736,15 +2493,41 @@ fn int_binop(op: Op, x: i64, y: i64) -> Result<i64, RtError> {
     })
 }
 
-fn var_frame<'p>(proc: &'p mut ProcState, depth: u8) -> Result<&'p mut Frame, RtError> {
-    let top = proc.frames.len() - 1;
-    let mut idx = top;
+/// Index of the frame `depth` static links up from the top one.
+fn frame_at(frames: &[Frame], depth: u8) -> Result<usize, RtError> {
+    let mut idx = frames.len() - 1;
     for _ in 0..depth {
-        idx = proc.frames[idx]
+        idx = frames[idx]
             .static_link
             .ok_or_else(|| RtError::Internal("missing static link".into()))?;
     }
-    Ok(&mut proc.frames[idx])
+    Ok(idx)
+}
+
+/// Where a variable store lands.
+enum Place {
+    /// The whole variable.
+    Whole,
+    /// One array element, by logical index.
+    Elem(i64),
+    /// One record field.
+    Field(u16),
+}
+
+/// Stores `v` into variable `addr`, in whole or in part.
+#[inline]
+fn store_var(proc: &mut ProcState, addr: VarAddr, place: Place, v: Val) -> Result<(), RtError> {
+    let fi = frame_at(&proc.frames, addr.depth)?;
+    let slot = &mut proc.frames[fi].locals[addr.slot as usize];
+    match place {
+        Place::Whole => *slot = v,
+        Place::Elem(i) => *slot = store_elem(slot, i, v)?,
+        Place::Field(f) => match slot {
+            Val::Rec(fields) => Arc::make_mut(fields)[f as usize] = v,
+            _ => return Err(RtError::Internal("field store on non-record".into())),
+        },
+    }
+    Ok(())
 }
 
 /// Replaces element `idx` in an array value (copy-on-write).
@@ -2762,4 +2545,27 @@ fn store_elem(base: &Val, idx: i64, v: Val) -> Result<Val, RtError> {
         }
         _ => Err(RtError::Internal("element store on non-array".into())),
     }
+}
+
+/// Records `pc` in the active frame (a suspension or halt point).
+fn set_pc(proc: &mut ProcState, pc: usize) {
+    proc.frames.last_mut().expect("frame").pc = pc;
+}
+
+/// Ends the process for good at `pc`.
+fn halt(proc: &mut ProcState, pc: usize) {
+    set_pc(proc, pc);
+    proc.status = ProcStatus::Halted;
+}
+
+/// Leaves the active frame at `pc` — a `return`, or running off the end
+/// of the code: a subprogram frame pops back to its caller (returns
+/// `true`); the process frame halts the process (returns `false`).
+fn leave_frame(proc: &mut ProcState, pc: usize) -> bool {
+    if proc.frames.len() > 1 {
+        proc.frames.pop();
+        return true;
+    }
+    halt(proc, pc);
+    false
 }

@@ -2,7 +2,7 @@
 //! nested subprograms with up-level access, record signals, physical
 //! types, and dynamic array attributes.
 
-use sim_kernel::{Time, Val};
+use sim_kernel::{Backend, Time, Val};
 use vhdl_driver::Compiler;
 
 fn ns(n: u64) -> Time {
@@ -357,25 +357,36 @@ fn in_port_write_rejected() {
     .unwrap();
 }
 
-/// A negative assignment delay is a runtime error, not a silent delta.
+/// A negative assignment delay or `wait for` timeout is a runtime error
+/// (VHDL-87 §8.1, §8.3), not a silent delta — under both backends.
 #[test]
 fn negative_delay_traps() {
-    let c = Compiler::in_memory();
-    let mut sim = c
-        .simulate(
-            "entity nd is end;
-             architecture a of nd is
-               signal s : bit := '0';
-               signal t : integer := 0;
-             begin
-               process begin
-                 s <= '1' after (t - 5) * 1 ns;
-                 wait;
-               end process;
-             end a;",
-            "nd",
-        )
-        .unwrap();
-    let err = sim.run_until(ns(1)).unwrap_err();
-    assert!(err.to_string().contains("negative"), "{err}");
+    let assignment = "entity nd is end;
+         architecture a of nd is
+           signal s : bit := '0';
+           signal t : integer := 0;
+         begin
+           process begin
+             s <= '1' after (t - 5) * 1 ns;
+             wait;
+           end process;
+         end a;";
+    let timeout = "entity nd is end;
+         architecture a of nd is
+           signal t : integer := 0;
+         begin
+           process begin
+             wait for (t - 5) * 1 ns;
+           end process;
+         end a;";
+    for src in [assignment, timeout] {
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let c = Compiler::in_memory();
+            let mut sim = c.simulate(src, "nd").unwrap();
+            sim.set_backend(backend);
+            let err = sim.run_until(ns(1)).unwrap_err();
+            assert!(err.to_string().contains("negative"), "{backend}: {err}");
+            assert_eq!(sim.stats().fallback_procs, 0, "{backend}");
+        }
+    }
 }
