@@ -89,8 +89,8 @@ fn main() {
     );
     println!(
         "expression grammar: {} states, {} non-error actions",
-        xag.table.n_states(),
-        xag.table.n_nonerror_actions()
+        xag.table().n_states(),
+        xag.table().n_nonerror_actions()
     );
 
     for (tag, st, frac) in [
@@ -114,6 +114,6 @@ fn main() {
         pg.table().n_states() as f64,
         "states",
     );
-    runner.metric("expr_lalr_states", xag.table.n_states() as f64, "states");
+    runner.metric("expr_lalr_states", xag.table().n_states() as f64, "states");
     runner.finish();
 }

@@ -1,10 +1,10 @@
 //! E14 — generative differential-conformance throughput.
 //!
 //! Characterizes the `vhdl-conform` subsystem itself: how fast the
-//! generator emits designs, how fast the full front-end pipeline absorbs
-//! them, and how many complete eight-cell configuration matrices per
-//! second the oracle sustains — the number that bounds how much fuzzing
-//! a CI minute buys.
+//! generator emits designs, what the compiler each design gets costs to
+//! build, how fast the full front-end pipeline absorbs them, and how
+//! many complete eight-cell configuration matrices per second the oracle
+//! sustains — the number that bounds how much fuzzing a CI minute buys.
 //!
 //! Timed with the in-repo `ag-harness` runner; results land in
 //! `results/exp_conform.json`.
@@ -59,6 +59,20 @@ fn main() {
         10.0 / s.median_secs(),
         "designs/s",
     );
+
+    // Compiler construction, which every matrix case pays once: after the
+    // first compiler in the process it only clones handles on the shared
+    // front-end tables.
+    drop(vhdl_driver::Compiler::in_memory());
+    const NEW_BATCH: u32 = 100;
+    let s = r.measure("compiler_new/x100", || {
+        for _ in 0..NEW_BATCH {
+            black_box(vhdl_driver::Compiler::in_memory());
+        }
+    });
+    let new_us = s.median_secs() * 1e6 / f64::from(NEW_BATCH);
+    println!("second Compiler::in_memory:  median {new_us:.2} µs");
+    r.metric("compiler_new_us", new_us, "us");
 
     // Pipeline absorption: generated design -> analyzed -> elaborated
     // kernel program (compile + elaborate, no simulation).

@@ -62,7 +62,7 @@ fn main() {
     let xplans =
         ag_core::plan(&xag.ag, &ag_core::analyze(&xag.ag).expect("acyclic")).expect("ordered");
     let gen_principal = emit_evaluator("vhdl_principal", &pag.ag, pg.table(), &pplans);
-    let gen_expr = emit_evaluator("vhdl_expr", &xag.ag, &xag.table, &xplans);
+    let gen_expr = emit_evaluator("vhdl_expr", &xag.ag, xag.table(), &xplans);
 
     let compiler = vhdl_driver::Compiler::in_memory();
     let src = ag_bench::gen_design(4, 3);

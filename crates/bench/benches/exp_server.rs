@@ -13,7 +13,9 @@
 //!   threads, explicit overload bounds), reporting aggregate tail
 //!   latency;
 //! - **checkpoint/restore round trips** of the session runtime — the
-//!   fleet operation that migrates a running simulation.
+//!   fleet operation that migrates a running simulation;
+//! - **session open**: TCP connect → first `analyze` reply of a fresh
+//!   session, p50/p99 — library fork plus analyzer construction.
 //!
 //! The server runs with a pre-compiled base library, so the measured
 //! `analyze` is the warm, all-cache-hits path a long-lived session sees.
@@ -179,6 +181,22 @@ fn main() {
             "{op:<8} n={n:<5} {rps:>9.0} req/s   p50 {p50:>5} µs   p95 {p95:>5} µs   p99 {p99:>5} µs"
         );
     }
+
+    // Session open: each fresh connection forks the base library and
+    // builds its analyzer before its first (all-hits) analyze replies.
+    const OPENS: usize = 200;
+    let mut lat = Vec::with_capacity(OPENS);
+    for _ in 0..OPENS {
+        let t = Instant::now();
+        let mut s = Client::connect(&addr);
+        s.req("analyze", analyze_fields());
+        lat.push(t.elapsed().as_micros() as u64);
+    }
+    lat.sort_unstable();
+    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
+    r.metric("session_open/p50_us", p50 as f64, "us");
+    r.metric("session_open/p99_us", p99 as f64, "us");
+    println!("session_open n={OPENS:<4} connect → first analyze reply   p50 {p50:>5} µs   p99 {p99:>5} µs");
 
     // Session runtime checkpoint/restore round trips: `checkpoint`
     // serializes the live simulation (kernel state + VCD + probes) into

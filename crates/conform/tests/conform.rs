@@ -3,7 +3,8 @@
 
 use ag_harness::Source;
 use sim_kernel::TestFault;
-use vhdl_conform::{fuzz, gen_design, run_matrix, Case, Failure, Profile};
+use vhdl_conform::{fuzz, gen_design, oracle, run_matrix, Case, Design, Failure, Profile};
+use vhdl_driver::Compiler;
 
 /// Same seed → byte-identical VHDL text, across repeated generation and
 /// across threads (the generator must not depend on ambient state).
@@ -105,4 +106,50 @@ fn corpus_case_round_trips() {
     assert_eq!(parsed.digest, case.digest);
     // The parsed case regenerates the same design.
     assert_eq!(parsed.design().source, case.design().source);
+}
+
+/// What a design compiles and simulates to: the reference cell's matrix
+/// digest and the VIF text of every unit, in compilation order.
+fn fingerprint(d: &Design) -> (u64, String) {
+    let out = run_matrix(d, None).expect("design elaborates");
+    assert!(out.divergence.is_none(), "honest kernel must conform");
+    let c = Compiler::in_memory();
+    let r = c.compile(&d.source).expect("design parses");
+    assert!(r.ok(), "design analyzes cleanly: {}", r.msgs());
+    let work = c.libs.work();
+    let vif = work
+        .history()
+        .iter()
+        .map(|k| format!("{k}\n{}\n", work.raw(k).expect("stored unit")))
+        .collect();
+    (out.digest(), vif)
+}
+
+/// Every compiler on a thread shares that thread's principal AG,
+/// expression AG and `STD.STANDARD`. None of them may carry state from
+/// one design to the next: the same design gives the same matrix digest
+/// and VIF text first thing on a fresh thread, after 20 other designs on
+/// one thread, and on the test's own thread.
+#[test]
+fn designs_do_not_leak_into_each_other() {
+    let design = |seed| gen_design(&mut Source::from_seed(seed), Profile::Small);
+    let probe = design(7);
+    let p = probe.clone();
+    let fresh = std::thread::spawn(move || fingerprint(&p))
+        .join()
+        .expect("fresh thread");
+    let p = probe.clone();
+    let after_others = std::thread::spawn(move || {
+        for seed in 100..120 {
+            oracle::elaborate(&design(seed)).expect("other design elaborates");
+        }
+        fingerprint(&p)
+    })
+    .join()
+    .expect("busy thread");
+    let here = fingerprint(&probe);
+    assert_eq!(fresh.0, after_others.0, "digest after 20 designs");
+    assert_eq!(fresh.1, after_others.1, "VIF text after 20 designs");
+    assert_eq!(fresh.0, here.0, "digest on the test thread");
+    assert_eq!(fresh.1, here.1, "VIF text on the test thread");
 }

@@ -237,12 +237,12 @@ mod tests {
     use super::*;
     use crate::attr::{AgBuilder, AttrDir, Dep, Implicit};
     use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     /// Knuth's binary number AG, fractional part included: value of
     /// "1 1 0 1" with the point after position 2 etc. Here: integers only,
     /// scale threaded via inh.
-    fn setup() -> (Rc<ag_lalr::Grammar>, AttrGrammar<i64>, ParseTable) {
+    fn setup() -> (Arc<ag_lalr::Grammar>, AttrGrammar<i64>, ParseTable) {
         let mut g = GrammarBuilder::new();
         let bit = g.terminal("bit");
         let l = g.nonterminal("l");
@@ -251,8 +251,8 @@ mod tests {
         g.prod(l, &[l.into(), bit.into()], "l_rec");
         g.prod(l, &[bit.into()], "l_bit");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
         let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
         let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
@@ -354,8 +354,8 @@ mod tests {
         let n = g.nonterminal("n");
         g.prod(n, &[a.into()], "n_a");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let base = ab.class("BASE", AttrDir::Inherited, Implicit::None);
         let out = ab.class("OUT", AttrDir::Synthesized, Implicit::None);
         let nn = g.symbol("n").unwrap();

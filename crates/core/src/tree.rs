@@ -107,7 +107,7 @@ fn build<V: Clone>(
 mod tests {
     use super::*;
     use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     #[test]
     fn arena_mirrors_parse_tree() {
@@ -117,7 +117,7 @@ mod tests {
         g.prod(s, &[a.into(), s.into()], "s_rec");
         g.prod(s, &[], "s_empty");
         g.start(s);
-        let g = Rc::new(g.build().unwrap());
+        let g = Arc::new(g.build().unwrap());
         let table = ParseTable::build(&g).unwrap();
         let parser = Parser::new(&g, &table);
         let tree = parser

@@ -279,11 +279,13 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
 /// The worker loop: parse lazily (cached per file), analyze against the
 /// mirror library, ship text back. Everything it owns is thread-local and
 /// survives across batches; a `Batch` message resets the mirror and the
-/// parse cache, never the analyzer. A panicking job becomes an
+/// parse cache, never the analyzer. The analyzer is built on the first
+/// job, so a pool whose batches all hit the stamp cache (a warm `vhdld`
+/// session) never builds its threads' AGs. A panicking job becomes an
 /// internal-error diagnostic, not a dead worker — a wedged server worker
 /// would starve every later wave.
 fn worker_main(env_kind: vhdl_sem::env::EnvKind, rx: Receiver<ToWorker>, tx: Sender<JobOut>) {
-    let analyzer = Analyzer::thread_shared(env_kind);
+    let analyzer = std::cell::OnceCell::new();
     let mut files: Arc<Vec<(String, String)>> = Arc::new(Vec::new());
     let mut work = Rc::new(Library::in_memory("work"));
     let mut libs = Rc::new(LibrarySet::new(Rc::clone(&work), vec![]));
@@ -315,6 +317,7 @@ fn worker_main(env_kind: vhdl_sem::env::EnvKind, rx: Receiver<ToWorker>, tx: Sen
                 .pop_front();
             let Some(job) = job else { break };
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let analyzer = analyzer.get_or_init(|| Analyzer::new(env_kind));
                 let mut parse = Duration::ZERO;
                 let units = csts.entry(job.file).or_insert_with(|| {
                     let t0 = Instant::now();
@@ -337,7 +340,7 @@ fn worker_main(env_kind: vhdl_sem::env::EnvKind, rx: Receiver<ToWorker>, tx: Sen
                             "internal: unit index out of range".to_string(),
                         ),
                         Some(unit) => {
-                            let mut out = run_job(&analyzer, &libs, unit, job.global);
+                            let mut out = run_job(analyzer, &libs, unit, job.global);
                             out.parse = parse;
                             out
                         }
@@ -360,10 +363,9 @@ fn worker_main(env_kind: vhdl_sem::env::EnvKind, rx: Receiver<ToWorker>, tx: Sen
 
 /// A long-lived pool of analysis workers. One pool outlives many
 /// [`Compiler::compile_batch_with`] calls: each batch re-initializes the
-/// workers' mirror libraries (a `Batch` message) but reuses their
-/// analyzers, whose predefined environments are expensive to rebuild. The
-/// `vhdld` server keeps one pool per session and fans every `analyze`
-/// request over it.
+/// workers' mirror libraries (a `Batch` message) and keeps the threads,
+/// whose analyzers are built once per thread. The `vhdld` server keeps
+/// one pool per session and fans every `analyze` request over it.
 pub struct WorkerPool {
     env_kind: vhdl_sem::env::EnvKind,
     jobs: usize,

@@ -126,23 +126,20 @@ pub struct Compiler {
 }
 
 impl Compiler {
-    /// An in-memory compiler (tests, benches).
-    pub fn in_memory() -> Compiler {
+    /// A compiler over the work library `work` with the given environment
+    /// representation (the E7 ablation knob). Cheap: the analyzer shares
+    /// the process's parse tables and the thread's AGs.
+    pub fn new(work: Library, env_kind: EnvKind) -> Compiler {
         Compiler {
-            analyzer: Analyzer::new(EnvKind::Tree),
-            libs: Rc::new(LibrarySet::new(Rc::new(Library::in_memory("work")), vec![])),
+            analyzer: Analyzer::new(env_kind),
+            libs: Rc::new(LibrarySet::new(Rc::new(work), vec![])),
             plans: RefCell::new(batch::PlanCache::default()),
         }
     }
 
-    /// A compiler with the given environment representation (the E7
-    /// ablation knob).
-    pub fn with_env_kind(kind: EnvKind) -> Compiler {
-        Compiler {
-            analyzer: Analyzer::new(kind),
-            libs: Rc::new(LibrarySet::new(Rc::new(Library::in_memory("work")), vec![])),
-            plans: RefCell::new(batch::PlanCache::default()),
-        }
+    /// An in-memory compiler (tests, benches).
+    pub fn in_memory() -> Compiler {
+        Compiler::new(Library::in_memory("work"), EnvKind::Tree)
     }
 
     /// A compiler over an on-disk work library.
@@ -151,14 +148,7 @@ impl Compiler {
     ///
     /// I/O errors opening the library.
     pub fn on_disk(dir: &std::path::Path) -> Result<Compiler, vhdl_vif::VifError> {
-        Ok(Compiler {
-            analyzer: Analyzer::new(EnvKind::Tree),
-            libs: Rc::new(LibrarySet::new(
-                Rc::new(Library::on_disk("work", dir)?),
-                vec![],
-            )),
-            plans: RefCell::new(batch::PlanCache::default()),
-        })
+        Ok(Compiler::new(Library::on_disk("work", dir)?, EnvKind::Tree))
     }
 
     /// Compiles a source string: parse, analyze each unit, store passing

@@ -13,7 +13,7 @@ use vhdl_vif::{LibrarySet, VifNode};
 use crate::env::{Den, Env, EnvKind, Visibility};
 use crate::msg::{Msg, Msgs};
 use crate::principal_ag::PrincipalAg;
-use crate::standard::{standard, Standard};
+use crate::standard::Standard;
 use crate::value::Value;
 
 /// Loads separately-compiled units — the foreign-reference interface the
@@ -108,7 +108,8 @@ pub struct AnalyzedUnit {
 }
 
 /// The compiler front half: principal grammar + principal AG, reusable
-/// across files.
+/// across files. A cheap handle: the parse table is the process's one
+/// copy, and the AGs and predefined environment are the calling thread's.
 pub struct Analyzer {
     /// The principal grammar and parse table.
     pub grammar: PrincipalGrammar,
@@ -121,39 +122,22 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// Builds the analyzer (parse tables + AG; reuse across compilations).
+    /// An analyzer over the shared front-end tables. The first call in a
+    /// process builds the parse tables; the first call on a thread builds
+    /// that thread's AGs and, per environment kind, its `STD.STANDARD`.
+    /// The AG rules are `Rc` closures over `Rc` values, so those parts
+    /// cannot cross threads; none of them holds state from one analysis to
+    /// the next.
     pub fn new(env_kind: EnvKind) -> Analyzer {
-        let grammar = PrincipalGrammar::new();
-        let pag = PrincipalAg::build(&grammar);
         // Build the (thread-cached) expression AG now so the first unit's
         // timing doesn't absorb its construction.
         let _ = crate::expr_ag::ExprAg::shared();
         Analyzer {
-            grammar,
-            pag,
-            std: Rc::new(standard(env_kind)),
+            grammar: PrincipalGrammar::new(),
+            pag: PrincipalAg::shared(),
+            std: crate::standard::shared(env_kind),
             env_kind,
         }
-    }
-
-    /// A per-thread shared analyzer: the grammar tables and AGs are built
-    /// once per thread per environment kind and reused across
-    /// compilations. Worker threads of the batch compiler (and repeated
-    /// in-process benchmark runs) get table construction amortized away;
-    /// the `Rc` keeps the whole thing single-thread-owned, so no loader or
-    /// attribute state ever crosses a thread boundary.
-    pub fn thread_shared(env_kind: EnvKind) -> Rc<Analyzer> {
-        thread_local! {
-            static CACHE: RefCell<Vec<Rc<Analyzer>>> = const { RefCell::new(Vec::new()) };
-        }
-        CACHE.with(|c| {
-            if let Some(a) = c.borrow().iter().find(|a| a.env_kind == env_kind) {
-                return Rc::clone(a);
-            }
-            let a = Rc::new(Analyzer::new(env_kind));
-            c.borrow_mut().push(Rc::clone(&a));
-            a
-        })
     }
 
     /// Parses a design file into compilation-unit subtrees.

@@ -10,6 +10,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, AttrTree, ClassId, DemandEval, Implicit};
 use ag_lalr::{Grammar, GrammarBuilder, ParseTable, Parser, SymbolId, Token};
@@ -59,14 +60,42 @@ pub struct ExprClasses {
 /// The built expression AG: grammar, table, attribution.
 pub struct ExprAg {
     /// The context-free grammar over LEF categories.
-    pub grammar: Rc<Grammar>,
-    /// Its LALR(1) table.
-    pub table: ParseTable,
+    pub grammar: Arc<Grammar>,
     /// The attribute grammar.
     pub ag: AttrGrammar<Value>,
     /// The class handles.
     pub classes: ExprClasses,
+    lalr: &'static ExprTables,
+}
+
+/// The expression grammar's LALR(1) table and terminal map: fixed data,
+/// built once per process. The attribution holds `Rc` rule closures and
+/// stays per thread.
+struct ExprTables {
+    grammar: Arc<Grammar>,
+    table: ParseTable,
     term_of: HashMap<LefKind, SymbolId>,
+}
+
+static TABLES: OnceLock<ExprTables> = OnceLock::new();
+
+fn tables() -> &'static ExprTables {
+    TABLES.get_or_init(|| {
+        let grammar = build_expr_grammar();
+        let table = match ParseTable::build(&grammar) {
+            Ok(t) => t,
+            Err(e) => panic!("expression grammar is not LALR(1):\n{e}"),
+        };
+        let term_of = LefKind::all()
+            .iter()
+            .map(|k| (*k, grammar.symbol(k.name()).expect("terminal registered")))
+            .collect();
+        ExprTables {
+            grammar: Arc::new(grammar),
+            table,
+            term_of,
+        }
+    })
 }
 
 thread_local! {
@@ -86,24 +115,22 @@ impl ExprAg {
         })
     }
 
-    /// Builds the grammar and attribution from scratch.
+    /// The expression grammar's LALR(1) table.
+    pub fn table(&self) -> &ParseTable {
+        &self.lalr.table
+    }
+
+    /// Builds the attribution from scratch over the process-wide grammar
+    /// and table.
     ///
     /// # Panics
     ///
     /// Panics if the grammar is not LALR(1) or the AG is malformed — bugs
     /// in this crate, not user errors.
     pub fn build() -> ExprAg {
-        let grammar = Rc::new(build_expr_grammar());
-        let table = match ParseTable::build(&grammar) {
-            Ok(t) => t,
-            Err(e) => panic!("expression grammar is not LALR(1):\n{e}"),
-        };
-        let term_of: HashMap<LefKind, SymbolId> = LefKind::all()
-            .iter()
-            .map(|k| (*k, grammar.symbol(k.name()).expect("terminal registered")))
-            .collect();
-
-        let mut ab = AgBuilder::<Value>::new(Rc::clone(&grammar));
+        let lalr = tables();
+        let grammar = Arc::clone(&lalr.grammar);
+        let mut ab = AgBuilder::<Value>::new(Arc::clone(&grammar));
         let classes = ExprClasses {
             env: ab.class("ENV", AttrDir::Inherited, Implicit::Copy),
             expected: ab.class(
@@ -171,10 +198,9 @@ impl ExprAg {
         };
         ExprAg {
             grammar,
-            table,
             ag,
             classes,
-            term_of,
+            lalr,
         }
     }
 }
@@ -239,12 +265,14 @@ pub fn expr_eval(
     let ax = ExprAg::shared();
 
     // The paper's trivial scanner: the next token is the head of the list.
-    let parser = Parser::new(&ax.grammar, &ax.table);
+    let parser = Parser::new(&ax.grammar, &ax.lalr.table);
     let positions: Vec<Pos> = lef.iter().map(|t| t.pos).collect();
-    let parsed = parser.parse(
-        lef.iter()
-            .map(|t| Token::new(ax.term_of[&t.kind], Value::Lef(Rc::new(vec![t.clone()])))),
-    );
+    let parsed = parser.parse(lef.iter().map(|t| {
+        Token::new(
+            ax.lalr.term_of[&t.kind],
+            Value::Lef(Rc::new(vec![t.clone()])),
+        )
+    }));
     let tree = match parsed {
         Ok(t) => t,
         Err(e) => {

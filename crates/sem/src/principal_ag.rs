@@ -7,7 +7,9 @@
 //! functions consume. Plumbing rules are implicit (§4.2); the explicit
 //! rules live in [`crate::principal_rules`].
 
+use std::cell::OnceCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, Implicit};
 use vhdl_syntax::PrincipalGrammar;
@@ -74,15 +76,30 @@ pub struct PrincipalClasses {
     pub items: ClassId,
 }
 
-/// The built principal AG.
+/// The built principal AG: a cheap handle, cloned from the calling
+/// thread's instance by [`PrincipalAg::shared`].
+#[derive(Clone)]
 pub struct PrincipalAg {
     /// The attribute grammar over the principal grammar.
-    pub ag: AttrGrammar<Value>,
+    pub ag: Rc<AttrGrammar<Value>>,
     /// Class handles.
     pub classes: PrincipalClasses,
 }
 
 impl PrincipalAg {
+    /// The calling thread's instance over the process-wide grammar, built
+    /// by the thread's first call. Its rules are `Rc` closures over `Rc`
+    /// values, so one instance cannot serve two threads.
+    pub(crate) fn shared() -> PrincipalAg {
+        thread_local! {
+            static SHARED: OnceCell<PrincipalAg> = const { OnceCell::new() };
+        }
+        SHARED.with(|c| {
+            c.get_or_init(|| PrincipalAg::build(&PrincipalGrammar::new()))
+                .clone()
+        })
+    }
+
     /// Builds the attribution over a [`PrincipalGrammar`].
     ///
     /// # Panics
@@ -90,7 +107,7 @@ impl PrincipalAg {
     /// Panics if the AG is malformed — a bug in this crate.
     pub fn build(pg: &PrincipalGrammar) -> PrincipalAg {
         let g = pg.grammar();
-        let mut ab = AgBuilder::<Value>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<Value>::new(Arc::clone(&g));
         let merge_list = || Implicit::Merge {
             unit: Some(Value::empty_list()),
             f: Rc::new(Value::concat_lists),
@@ -140,7 +157,10 @@ impl PrincipalAg {
             Ok(ag) => ag,
             Err(e) => panic!("principal AG malformed: {e}"),
         };
-        PrincipalAg { ag, classes }
+        PrincipalAg {
+            ag: Rc::new(ag),
+            classes,
+        }
     }
 }
 

@@ -4,6 +4,7 @@
 //! declaration; this module provides both the predefined types/operators
 //! and the [`implicit_ops`] generator reused for user-defined types.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use vhdl_vif::VifNode;
@@ -49,6 +50,23 @@ pub struct Standard {
     pub env: Env,
     /// The predefined types.
     pub std: Std,
+}
+
+/// The calling thread's `STD.STANDARD` of the given kind, built by the
+/// thread's first call. Its environment holds `Rc` nodes, so it stays per
+/// thread; nothing mutates it, so every analysis on the thread shares it.
+pub(crate) fn shared(kind: EnvKind) -> Rc<Standard> {
+    thread_local! {
+        static SHARED: RefCell<Vec<(EnvKind, Rc<Standard>)>> = const { RefCell::new(Vec::new()) };
+    }
+    SHARED.with(|c| {
+        if let Some((_, s)) = c.borrow().iter().find(|(k, _)| *k == kind) {
+            return Rc::clone(s);
+        }
+        let s = Rc::new(standard(kind));
+        c.borrow_mut().push((kind, Rc::clone(&s)));
+        s
+    })
 }
 
 /// Builds `STD.STANDARD` into a fresh environment of the given kind.

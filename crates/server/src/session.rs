@@ -21,7 +21,7 @@ use sim_kernel::snapshot::{Dec, Enc, SnapshotError};
 use sim_kernel::{NsObject, RunOutcome, SigId, Simulator, Time};
 use vhdl_driver::batch::{BatchOptions, WorkerPool};
 use vhdl_driver::Compiler;
-use vhdl_vif::{Library, LibrarySet, LibrarySnapshot};
+use vhdl_vif::{Library, LibrarySnapshot};
 
 use crate::b64;
 use crate::json::{obj, Json};
@@ -92,19 +92,12 @@ impl Session {
     /// Opens a session whose work library is a copy-on-write fork of
     /// `base` (or empty without one). `jobs` sizes the analysis pool.
     pub fn new(base: Option<&LibrarySnapshot>, jobs: usize) -> Session {
-        let compiler = match base {
-            Some(snap) => Compiler {
-                analyzer: Compiler::in_memory().analyzer,
-                libs: Rc::new(LibrarySet::new(
-                    Rc::new(Library::from_snapshot(snap)),
-                    vec![],
-                )),
-                plans: RefCell::new(Default::default()),
-            },
-            None => Compiler::in_memory(),
+        let work = match base {
+            Some(snap) => Library::from_snapshot(snap),
+            None => Library::in_memory("work"),
         };
         Session {
-            compiler,
+            compiler: Compiler::new(work, Default::default()),
             pool: None,
             pool_jobs: jobs.max(1),
             sim: None,

@@ -8,24 +8,30 @@
 //! sidesteps the `X(Y)` call/index/slice/conversion ambiguity entirely —
 //! the principal parser never has to guess.
 //!
-//! The grammar is strictly LALR(1) (no lenient conflict resolution):
-//! [`PrincipalGrammar::new`] builds the table with
+//! The grammar is strictly LALR(1) (no lenient conflict resolution): the
+//! first [`PrincipalGrammar::new`] in a process builds the table with
 //! [`ag_lalr::ParseTable::build`] and would fail loudly on any conflict.
+//! The grammar and table are fixed data, so one copy serves every thread.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use ag_lalr::{Grammar, GrammarBuilder, ParseError, ParseTable, Parser, ProdId, SymbolId, Token};
 
 use crate::lexer::{lex, LexError};
 use crate::token::{SrcTok, TokenKind};
 
-/// The built principal grammar with its LALR(1) table.
+/// The built principal grammar with its LALR(1) table: a cheap handle
+/// over the one copy the process builds.
+#[derive(Clone)]
 pub struct PrincipalGrammar {
-    grammar: Rc<Grammar>,
-    table: ParseTable,
-    term_of_kind: HashMap<TokenKind, SymbolId>,
+    grammar: Arc<Grammar>,
+    table: Arc<ParseTable>,
+    term_of_kind: Arc<HashMap<TokenKind, SymbolId>>,
 }
+
+/// The process-wide grammar and table, built on first use.
+static TABLES: OnceLock<PrincipalGrammar> = OnceLock::new();
 
 /// A concrete parse tree over source tokens.
 pub type Cst = ag_lalr::ParseTree<SrcTok>;
@@ -65,14 +71,19 @@ impl From<LexError> for FrontError {
 }
 
 impl PrincipalGrammar {
-    /// Builds the grammar and its LALR(1) table.
+    /// A handle on the grammar and its LALR(1) table, which the first call
+    /// in the process builds.
     ///
     /// # Panics
     ///
     /// Panics if the grammar has conflicts — that would be a bug in this
     /// crate, not a user error.
     pub fn new() -> Self {
-        let grammar = Rc::new(build_grammar());
+        TABLES.get_or_init(Self::build).clone()
+    }
+
+    fn build() -> Self {
+        let grammar = build_grammar();
         let table = match ParseTable::build(&grammar) {
             Ok(t) => t,
             Err(e) => panic!("principal grammar is not LALR(1):\n{e}"),
@@ -82,15 +93,15 @@ impl PrincipalGrammar {
             .map(|k| (*k, grammar.symbol(k.name()).expect("terminal registered")))
             .collect();
         PrincipalGrammar {
-            grammar,
-            table,
-            term_of_kind,
+            grammar: Arc::new(grammar),
+            table: Arc::new(table),
+            term_of_kind: Arc::new(term_of_kind),
         }
     }
 
     /// The underlying grammar (for attribute-grammar construction).
-    pub fn grammar(&self) -> Rc<Grammar> {
-        Rc::clone(&self.grammar)
+    pub fn grammar(&self) -> Arc<Grammar> {
+        Arc::clone(&self.grammar)
     }
 
     /// The parse table.
@@ -829,6 +840,15 @@ mod tests {
 
     fn pg() -> PrincipalGrammar {
         PrincipalGrammar::new()
+    }
+
+    #[test]
+    fn tables_are_built_once_per_process() {
+        let here = pg();
+        let there = std::thread::spawn(pg).join().expect("thread");
+        assert!(Arc::ptr_eq(&here.table, &there.table));
+        assert!(Arc::ptr_eq(&here.grammar, &there.grammar));
+        assert!(Arc::ptr_eq(&here.term_of_kind, &there.term_of_kind));
     }
 
     #[test]
