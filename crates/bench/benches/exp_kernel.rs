@@ -499,10 +499,12 @@ fn main() {
     // --- Realistic input: a vhdl-conform heavy design, elaborated
     // through the full front end. Unlike the hand-built programs above,
     // this exercises the kernel on compiler output: dozens of generated
-    // processes over a resolved-bus / sensitivity-web fabric, with
-    // recursion forcing partial interpreter fallback under the compiled
-    // backend. Cycle budgets (not deadlines) bound the run, since
-    // generated designs may contain zero-delay delta storms.
+    // processes over a resolved-bus / sensitivity-web fabric, with deep
+    // recursion that the compiled backend translates in full. Cycle
+    // budgets (not deadlines) bound the run, since generated designs may
+    // contain zero-delay delta storms. The run retires millions of
+    // instructions for a handful of events, so instructions per second
+    // is the rate that measures the backends.
     {
         let design = vhdl_conform::gen_design(
             &mut ag_harness::Source::from_seed(7),
@@ -528,6 +530,14 @@ fn main() {
                 (b.cycles, b.events, b.transactions, b.insns),
                 "backends disagree on generated heavy design"
             );
+            assert_eq!(b.fallback_procs, 0, "heavy design must compile in full");
+            println!(
+                "generated heavy: {} processes, {} on the fallback, {} insns, {} events",
+                p.processes.len(),
+                b.fallback_procs,
+                a.insns,
+                a.events
+            );
         }
         let s_i = r.measure("generated_heavy_2k_cycles/interp", || {
             black_box(run(Backend::Interp))
@@ -543,12 +553,21 @@ fn main() {
             "generated heavy, 2k cycles, compiled: median {}",
             fmt_ns(s_c.median_ns)
         );
+        let heavy_speedup = s_i.median_ns as f64 / s_c.median_ns as f64;
+        println!("generated heavy speedup:              {heavy_speedup:.2}x");
+        r.metric("generated_heavy_speedup_compiled", heavy_speedup, "x");
         let st = run(Backend::Interp);
         r.metric(
             "generated_heavy_events_per_sec",
             st.events as f64 / s_i.median_secs(),
             "events/s",
         );
+        for (name, s) in [
+            ("generated_heavy_insns_per_sec", &s_i),
+            ("generated_heavy_insns_per_sec_compiled", &s_c),
+        ] {
+            r.metric(name, st.insns as f64 / s.median_secs(), "insns/s");
+        }
     }
 
     let p = timeout_storm(500);

@@ -15,9 +15,9 @@
 //! - runtime faults: division by an expression that eventually reaches
 //!   zero, so every configuration must fail at the same instant with the
 //!   same message;
-//! - a recursive subprogram, which the block compiler refuses (unknowable
-//!   stack depth) — forcing callers onto the interpreter fallback even
-//!   under `Backend::Compiled`;
+//! - a doubly recursive subprogram, so compiled code runs deep call
+//!   chains (the block compiler translates recursion; no process falls
+//!   back to the interpreter);
 //! - structural hierarchy: leaf entities instantiated via component
 //!   declarations, so designs are genuinely multi-unit.
 //!
@@ -218,9 +218,8 @@ pub fn gen_design(s: &mut Source, profile: Profile) -> Design {
     src.push_str("  begin\n");
     let _ = writeln!(src, "    return (x * {mix_mul} + {mix_add}) mod {mix_mod};");
     src.push_str("  end mix;\n");
-    // Recursion: the block compiler cannot bound the frame depth, so any
-    // process calling `rec` falls back to the interpreter under
-    // Backend::Compiled — the mixed compiled/fallback corner.
+    // Recursion: a call tree of up to ~100 frames per use, compiled
+    // under Backend::Compiled like every other subprogram.
     src.push_str("  function rec (n : integer) return integer is\n");
     src.push_str("  begin\n");
     src.push_str("    if n < 2 then\n");
@@ -395,8 +394,7 @@ pub fn gen_design(s: &mut Source, profile: Profile) -> Design {
                         src.push_str("    end if;\n");
                     }
                 }
-                // Recursive call: forces this process onto the compiled
-                // backend's interpreter fallback.
+                // Recursive call: a deep call chain in process code.
                 _ => {
                     let n = s.i64_in(3, 9);
                     let _ = writeln!(src, "    v := (v + rec({n})) mod 256;");

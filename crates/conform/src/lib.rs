@@ -9,9 +9,8 @@
 //! this crate checks it on an open-ended set by *generating* well-typed
 //! VHDL designs that aim at the kernel's hard corners — resolved
 //! multi-writer buses, inertial/transport collisions, zero-delay delta
-//! storms, cross-process sensitivity webs, runtime faults, recursion
-//! that forces the compiled backend's interpreter fallback — and
-//! cross-checking every configuration pair.
+//! storms, cross-process sensitivity webs, runtime faults, deep
+//! recursion — and cross-checking every configuration pair.
 //!
 //! Three layers:
 //!

@@ -33,10 +33,14 @@
 //! identical to the interpreter's — the equivalence property suite
 //! (`crate::equiv`) holds both backends to byte-identical observables.
 //!
-//! Shapes the translator cannot prove well-formed (inconsistent stack
-//! depths at a join, recursion, code that reads below its own frame's
-//! stack base) make the whole process fall back to the interpreter rather
-//! than risk divergence; `fallback_procs` in the statistics counts them.
+//! Recursion compiles: a call met while its callee is still being built
+//! takes the callee's declared stack effect (1 if it returns a value,
+//! else 0), which the callee's own exits must then confirm. Shapes the
+//! translator cannot prove well-formed (inconsistent stack depths at a
+//! join, a recursive unit whose exits contradict its declared effect,
+//! code that reads below its own frame's stack base) make every process
+//! that reaches them fall back to the interpreter rather than risk
+//! divergence; `fallback_procs` in the statistics counts them.
 
 use std::sync::Arc;
 
@@ -487,7 +491,8 @@ fn closure_ok(units: &[Option<Unit>], n_procs: usize, pi: usize) -> bool {
 #[derive(Clone, Copy, PartialEq)]
 enum FnState {
     NotStarted,
-    InProgress,
+    /// Being built; `true` once a recursive call took the declared effect.
+    InProgress(bool),
     Done(Option<isize>),
 }
 
@@ -499,23 +504,31 @@ struct Compiler<'p> {
 
 impl Compiler<'_> {
     /// Net value-stack effect of calling subprogram `f`, compiling its
-    /// unit on first use. `None` (unknown: recursion, fallback, or
-    /// disagreeing exits) makes the *caller* fall back.
+    /// unit on first use. `None` (unknown: fallback or disagreeing exits)
+    /// makes the *caller* fall back. A recursive call, met while `f` is
+    /// being built, takes `f`'s declared effect (1 if its code returns a
+    /// value, else 0); a unit whose exits then contradict it is rejected.
     fn fn_net(&mut self, f: FnId) -> Option<isize> {
         let i = f.0 as usize;
-        match self.fn_done[i] {
-            FnState::Done(net) => net,
-            FnState::InProgress => None, // recursion: depth unknowable
-            FnState::NotStarted => {
-                self.fn_done[i] = FnState::InProgress;
-                let code = Arc::clone(&self.prog.functions[i].code);
-                let built = self.build_unit(&code, true).ok();
-                let net = built.as_ref().and_then(|u| u.net);
-                self.fn_units[i] = built;
-                self.fn_done[i] = FnState::Done(net);
-                net
-            }
+        if let FnState::Done(net) = self.fn_done[i] {
+            return net;
         }
+        let code = Arc::clone(&self.prog.functions[i].code);
+        let declared = code
+            .iter()
+            .any(|i| matches!(i, Insn::Ret { has_value: true })) as isize;
+        if let FnState::InProgress(_) = self.fn_done[i] {
+            self.fn_done[i] = FnState::InProgress(true);
+            return Some(declared);
+        }
+        self.fn_done[i] = FnState::InProgress(false);
+        let built = self.build_unit(&code, true).ok();
+        let assumed = self.fn_done[i] == FnState::InProgress(true);
+        let built = built.filter(|u| !assumed || u.net == Some(declared));
+        let net = built.as_ref().and_then(|u| u.net);
+        self.fn_units[i] = built;
+        self.fn_done[i] = FnState::Done(net);
+        net
     }
 
     /// Translates one code body into blocks, or reports why it cannot be.
@@ -1066,29 +1079,86 @@ mod tests {
         assert_eq!(cp.n_fallback, 1);
     }
 
-    /// Recursive subprograms poison every calling process, but only those.
-    #[test]
-    fn recursion_falls_back_transitively() {
-        let mut p = Program::default();
-        let f = p.add_function(crate::isa::FnDecl {
-            name: "rec".into(),
+    /// `f(n)`: `n == 0` returns `base`, anything else returns `g(n - 1)`.
+    fn countdown(name: &str, g: FnId, base: i64) -> crate::isa::FnDecl {
+        crate::isa::FnDecl {
+            name: name.into(),
             n_params: 1,
             n_locals: 1,
             code: Arc::new(vec![
                 Insn::LoadVar(slot(0)),
-                Insn::Call(FnId(0)),
+                Insn::JumpIfFalse(7),
+                Insn::LoadVar(slot(0)),
+                Insn::PushInt(1),
+                Insn::Binop(Op::Sub),
+                Insn::Call(g),
+                Insn::Ret { has_value: true },
+                Insn::PushInt(base), // 7:
                 Insn::Ret { has_value: true },
             ]),
             level: 1,
+        }
+    }
+
+    /// Self- and mutually recursive subprograms compile: a recursive
+    /// call takes the callee's declared effect, which its exits confirm.
+    #[test]
+    fn recursion_compiles() {
+        let mut p = Program::default();
+        let rec = p.add_function(countdown("rec", FnId(0), 0));
+        let even = p.add_function(countdown("even", FnId(2), 1));
+        let odd = p.add_function(countdown("odd", even, 0));
+        for f in [rec, even, odd] {
+            p.add_process(
+                "caller",
+                1,
+                vec![Insn::PushInt(5), Insn::Call(f), Insn::Pop, Insn::Halt],
+            );
+        }
+        let cp = compile(&p);
+        assert_eq!(cp.n_fallback, 0);
+        assert!(cp.proc_ok.iter().all(|ok| *ok));
+        for f in [rec, even, odd] {
+            assert_eq!(cp.units[3 + f.0 as usize].as_ref().unwrap().net, Some(1));
+        }
+    }
+
+    /// A recursive unit whose exits contradict the effect it declares
+    /// (no valued `Ret`, so 0, yet every exit leaves one value) is
+    /// rejected, and every process that reaches it falls back — but
+    /// only those.
+    #[test]
+    fn contradicted_recursion_falls_back() {
+        let mut p = Program::default();
+        let leaky = p.add_function(crate::isa::FnDecl {
+            name: "leaky".into(),
+            n_params: 1,
+            n_locals: 1,
+            code: Arc::new(vec![
+                Insn::LoadVar(slot(0)),
+                Insn::JumpIfFalse(4),
+                Insn::PushInt(0),
+                Insn::Call(FnId(0)),
+                Insn::PushInt(7), // 4: joined at depth 0 under the hypothesis
+                Insn::Ret { has_value: false },
+            ]),
+            level: 1,
         });
-        p.add_process(
-            "caller",
-            1,
-            vec![Insn::PushInt(1), Insn::Call(f), Insn::Pop, Insn::Halt],
-        );
+        let wrapper = p.add_function(crate::isa::FnDecl {
+            name: "wrapper".into(),
+            n_params: 0,
+            n_locals: 0,
+            code: Arc::new(vec![Insn::PushInt(1), Insn::Call(leaky), Insn::Pop]),
+            level: 1,
+        });
+        p.add_process("caller", 1, vec![Insn::Call(wrapper), Insn::Halt]);
         p.add_process("clean", 1, vec![Insn::Halt]);
         let cp = compile(&p);
-        assert!(!cp.proc_ok[0], "recursion cannot be depth-tracked");
+        assert!(
+            cp.units[2 + leaky.0 as usize].is_none(),
+            "hypothesis contradicted"
+        );
+        assert!(!cp.proc_ok[0], "a transitive caller falls back");
         assert!(cp.proc_ok[1], "unrelated process still compiles");
         assert_eq!(cp.n_fallback, 1);
     }

@@ -120,6 +120,73 @@ fn clamp(inner: FnId) -> FnDecl {
     }
 }
 
+/// `down(n) = if n = 0 then c else 97 / (n - k) + down(n - 1)`, where `c`
+/// is the calling process's counter read through the static link: a
+/// self-recursive level-1 function whose depth is its argument. With
+/// `k = 0` the division never faults (`n /= 0` on that path); with
+/// `k > 0`, a call with argument `a >= k` divides by zero `a - k` levels
+/// down. The sum runs as a raw step on the call's result.
+fn down(me: FnId, k: i64) -> FnDecl {
+    FnDecl {
+        name: "down".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(slot(0)),
+            Insn::JumpIfFalse(13),
+            Insn::PushInt(97),
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(k),
+            Insn::Binop(Op::Sub),
+            Insn::Binop(Op::Div),
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Sub),
+            Insn::Call(me),
+            Insn::Binop(Op::Add),
+            Insn::Ret { has_value: true },
+            Insn::LoadVar(VarAddr { depth: 1, slot: 0 }), // 13: base case
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    }
+}
+
+/// One half of a mutually recursive pair: `n = 0` returns `base`,
+/// anything else returns `other(n - 1)`. `even` has base 1 and `odd`
+/// base 0.
+fn parity(name: &str, other: FnId, base: i64) -> FnDecl {
+    FnDecl {
+        name: name.into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(slot(0)),
+            Insn::JumpIfFalse(7),
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Sub),
+            Insn::Call(other),
+            Insn::Ret { has_value: true },
+            Insn::PushInt(base), // 7:
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    }
+}
+
+/// Adds `down` (faulting in rare draws) and the `even`/`odd` pair to
+/// `prog`, returning the three entry points.
+fn gen_recursive(s: &mut Source, prog: &mut Program) -> Vec<FnId> {
+    let me = FnId(prog.functions.len() as u32);
+    let k = if rarely(s) { *s.pick(&[5i64, 6]) } else { 0 };
+    let (even, odd) = (FnId(me.0 + 1), FnId(me.0 + 2));
+    prog.add_function(down(me, k));
+    prog.add_function(parity("even", odd, 1));
+    prog.add_function(parity("odd", even, 0));
+    vec![me, even, odd]
+}
+
 /// Process locals: the activation counter, a write-only scratch, an
 /// array, a record, an integer result (observed through a signal), and
 /// a composite scratch.
@@ -340,8 +407,9 @@ fn gen_crossing(s: &mut Source, code: &mut Vec<Insn>, agg: Option<(i64, VDir)>) 
 /// bump a counter, schedule 1–3 transactions (delta or timed, inertial
 /// or transport, counter-derived, constant, or signal-attribute values),
 /// optionally compute with composites, element-schedule the array
-/// signal, call subprograms, and carry values across branches, then
-/// wait on a random sensitivity subset with an optional timeout.
+/// signal, call subprograms (self- and mutually recursive ones
+/// included), and carry values across branches, then wait on a random
+/// sensitivity subset with an optional timeout.
 pub(crate) fn gen_program(s: &mut Source) -> Program {
     let mut prog = Program::default();
     let n_procs = s.usize_in(1, 3);
@@ -372,6 +440,11 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
     let callees: Vec<FnId> = if s.bool() {
         let inner = prog.add_function(twice_plus_counter());
         vec![inner, prog.add_function(clamp(inner))]
+    } else {
+        Vec::new()
+    };
+    let recursive: Vec<FnId> = if s.bool() {
+        gen_recursive(s, &mut prog)
     } else {
         Vec::new()
     };
@@ -473,6 +546,23 @@ pub(crate) fn gen_program(s: &mut Source) -> Program {
                 Insn::Call(*s.pick(&callees)),
                 Insn::PushInt(3),
                 Insn::Binop(Op::Add),
+                Insn::StoreVar(slot(RESULT)),
+            ]);
+        }
+        if !recursive.is_empty() && s.bool() {
+            // result := f(counter mod m): the recursion depth follows the
+            // counter. One draw in four scales the argument by 1000, deep
+            // enough for a small fuel budget to run out mid-recursion.
+            code.extend([
+                Insn::LoadVar(slot(COUNTER)),
+                Insn::PushInt(*s.pick(&[3i64, 5, 8])),
+                Insn::Binop(Op::Mod),
+            ]);
+            if s.usize_in(0, 3) == 0 {
+                code.extend([Insn::PushInt(1000), Insn::Binop(Op::Mul)]);
+            }
+            code.extend([
+                Insn::Call(*s.pick(&recursive)),
                 Insn::StoreVar(slot(RESULT)),
             ]);
         }
@@ -596,18 +686,22 @@ pub(crate) fn snapshot(
 
 /// Runs the event-driven path on the given process backend, optionally
 /// split into slices (incremental stepping must land on the same state as
-/// one uninterrupted run).
+/// one uninterrupted run) and under a per-activation fuel budget.
 pub(crate) fn run_new(
     prog: &Program,
     deadline: Time,
     budgets: &[u64],
     backend: Backend,
+    fuel: Option<u64>,
 ) -> Snapshot {
     let (n_sigs, n_procs) = (prog.signals.len(), prog.processes.len());
     let vcd = RefCell::new(Vcd::new("1fs"));
     let vcd_ref = &vcd;
     let mut sim = Simulator::new(prog.clone());
     sim.set_backend(backend);
+    if let Some(fuel) = fuel {
+        sim.set_fuel_budget(fuel);
+    }
     sim.observe(Box::new(move |t, sig, name, v| {
         vcd_ref.borrow_mut().change(t, sig, name, v);
     }));
@@ -624,11 +718,14 @@ pub(crate) fn run_new(
 }
 
 /// Runs the retained scan-based reference stepper over the same program.
-fn run_ref(prog: &Program, deadline: Time, max_cycles: u64) -> Snapshot {
+fn run_ref(prog: &Program, deadline: Time, max_cycles: u64, fuel: Option<u64>) -> Snapshot {
     let (n_sigs, n_procs) = (prog.signals.len(), prog.processes.len());
     let vcd = RefCell::new(Vcd::new("1fs"));
     let vcd_ref = &vcd;
     let mut sim = Simulator::new(prog.clone());
+    if let Some(fuel) = fuel {
+        sim.set_fuel_budget(fuel);
+    }
     sim.observe(Box::new(move |t, sig, name, v| {
         vcd_ref.borrow_mut().change(t, sig, name, v);
     }));
@@ -654,8 +751,11 @@ fn scheduler_equivalent_to_reference() {
             } else {
                 vec![total]
             };
-            let new = run_new(&prog, deadline, &budgets, Backend::Interp);
-            let reference = run_ref(&prog, deadline, total);
+            // A small fuel budget in some cases: healthy activations stay
+            // well under it, while deep recursion runs out mid-descent.
+            let fuel = s.option(|s| s.u64_in(1_000, 6_000));
+            let new = run_new(&prog, deadline, &budgets, Backend::Interp, fuel);
+            let reference = run_ref(&prog, deadline, total, fuel);
             check_eq!(new.outcome, reference.outcome);
             check_eq!(new.vcd, reference.vcd);
             check_eq!(new.now, reference.now);
@@ -677,7 +777,7 @@ fn scheduler_equivalent_to_reference() {
                 0,
                 "generated design must compile in full"
             );
-            let compiled = run_new(&prog, deadline, &budgets, Backend::Compiled);
+            let compiled = run_new(&prog, deadline, &budgets, Backend::Compiled, fuel);
             check_eq!(compiled.outcome, new.outcome, "compiled vs interp");
             check_eq!(compiled.vcd, new.vcd, "compiled vs interp");
             check_eq!(
@@ -739,10 +839,10 @@ fn scheduler_equivalent_fixed_case() {
         );
     }
     prog.finalize_sensitivity();
-    let new = run_new(&prog, Time::fs(40), &[17, 500], Backend::Interp);
-    let reference = run_ref(&prog, Time::fs(40), 517);
+    let new = run_new(&prog, Time::fs(40), &[17, 500], Backend::Interp, None);
+    let reference = run_ref(&prog, Time::fs(40), 517, None);
     assert_eq!(new, reference);
-    let compiled = run_new(&prog, Time::fs(40), &[17, 500], Backend::Compiled);
+    let compiled = run_new(&prog, Time::fs(40), &[17, 500], Backend::Compiled, None);
     assert_eq!(compiled, new);
     // Guard against the oracle going vacuous: the compiled run must have
     // actually executed threaded blocks, with no process falling back.
@@ -830,13 +930,73 @@ fn runtime_error_boundary_identical_across_backends() {
     );
     prog.finalize_sensitivity();
     let deadline = Time::fs(10_000);
-    let interp = run_new(&prog, deadline, &[u64::MAX], Backend::Interp);
-    let compiled = run_new(&prog, deadline, &[u64::MAX], Backend::Compiled);
+    let interp = run_new(&prog, deadline, &[u64::MAX], Backend::Interp, None);
+    let compiled = run_new(&prog, deadline, &[u64::MAX], Backend::Compiled, None);
     assert_eq!(
         interp.outcome,
         "err: runtime error in top.grow: arithmetic overflow"
     );
     assert_eq!(compiled, interp);
+}
+
+/// Fuel exhaustion and a runtime error deep inside a recursion stop at
+/// the same instruction, with the same counts, under both backends and
+/// the reference stepper: the compiled backend translates the recursion
+/// rather than leaving it to the interpreter.
+#[test]
+fn deep_recursion_boundaries_identical_across_backends() {
+    let cases = [
+        (0, Some(2_000), "looped without suspending"),
+        (5, None, "division by zero"),
+    ];
+    for (k, fuel, want) in cases {
+        let mut prog = Program::default();
+        let f = prog.add_function(down(FnId(0), k));
+        let clk = prog.add_signal("top.clk", Val::Int(0));
+        let out = prog.add_signal("top.out", Val::Int(0));
+        // out <= down(counter * 50); clk <= not clk after 1 fs: each
+        // activation recurses 50 levels deeper than the last.
+        prog.add_process(
+            "top.deep",
+            1,
+            vec![
+                Insn::LoadVar(slot(0)),
+                Insn::PushInt(1),
+                Insn::Binop(Op::Add),
+                Insn::StoreVar(slot(0)),
+                Insn::LoadVar(slot(0)),
+                Insn::PushInt(50),
+                Insn::Binop(Op::Mul),
+                Insn::Call(f),
+                Insn::PushInt(-1),
+                Insn::Sched {
+                    sig: out,
+                    transport: false,
+                },
+                Insn::LoadSig(clk),
+                Insn::Unop(Op::Not),
+                Insn::PushInt(1),
+                Insn::Sched {
+                    sig: clk,
+                    transport: false,
+                },
+                Insn::Wait {
+                    sens: Arc::new(vec![clk]),
+                    with_timeout: false,
+                },
+                Insn::Pop,
+                Insn::Jump(0),
+            ],
+        );
+        prog.finalize_sensitivity();
+        assert_eq!(crate::compile::compile(&prog).n_fallback, 0);
+        let deadline = Time::fs(100);
+        let interp = run_new(&prog, deadline, &[u64::MAX], Backend::Interp, fuel);
+        assert!(interp.outcome.contains(want), "{}", interp.outcome);
+        assert_eq!(run_ref(&prog, deadline, u64::MAX, fuel), interp);
+        let compiled = run_new(&prog, deadline, &[u64::MAX], Backend::Compiled, fuel);
+        assert_eq!(compiled, interp);
+    }
 }
 
 /// The injected-fault knob the conformance oracle relies on must really
@@ -929,8 +1089,8 @@ fn mod_by_power_of_two_matches_interp_for_negative_operands() {
     );
     prog.finalize_sensitivity();
     let deadline = Time::fs(100);
-    let interp = run_new(&prog, deadline, &[u64::MAX], Backend::Interp);
-    let compiled = run_new(&prog, deadline, &[u64::MAX], Backend::Compiled);
+    let interp = run_new(&prog, deadline, &[u64::MAX], Backend::Interp, None);
+    let compiled = run_new(&prog, deadline, &[u64::MAX], Backend::Compiled, None);
     assert_eq!(compiled, interp);
     let mut sim = Simulator::new(prog);
     sim.set_backend(Backend::Compiled);
@@ -961,11 +1121,53 @@ fn generator_covers_every_instruction_shape() {
         let end = dbg.find([' ', '(', '{']).unwrap_or(dbg.len());
         dbg[..end].to_string()
     }
+    /// Does subprogram `f` call itself, directly (`Some(true)`) or only
+    /// through another subprogram (`Some(false)`)?
+    fn recursion(prog: &Program, f: usize) -> Option<bool> {
+        let callees = |g: usize| -> Vec<usize> {
+            let code = &prog.functions[g].code;
+            code.iter()
+                .filter_map(|i| match i {
+                    Insn::Call(h) => Some(h.0 as usize),
+                    _ => None,
+                })
+                .collect()
+        };
+        if callees(f).contains(&f) {
+            return Some(true);
+        }
+        let mut seen = vec![f];
+        let mut work = callees(f);
+        while let Some(g) = work.pop() {
+            if g == f {
+                return Some(false);
+            }
+            if !seen.contains(&g) {
+                seen.push(g);
+                work.extend(callees(g));
+            }
+        }
+        None
+    }
     let mut emitted = BTreeSet::new();
     let mut raw = BTreeSet::new();
     let mut outcomes = (0usize, 0usize);
+    // Designs whose processes call a self- / mutually recursive function.
+    let mut recursive = (0usize, 0usize);
     for seed in 0..64 {
         let prog = gen_program(&mut Source::from_seed(seed));
+        let called: BTreeSet<usize> = prog
+            .processes
+            .iter()
+            .flat_map(|p| p.code.iter())
+            .filter_map(|i| match i {
+                Insn::Call(f) => Some(f.0 as usize),
+                _ => None,
+            })
+            .collect();
+        let kinds: Vec<bool> = called.iter().filter_map(|f| recursion(&prog, *f)).collect();
+        recursive.0 += kinds.contains(&true) as usize;
+        recursive.1 += kinds.contains(&false) as usize;
         for code in prog
             .processes
             .iter()
@@ -985,7 +1187,7 @@ fn generator_covers_every_instruction_shape() {
                 }
             }
         }
-        let snap = run_new(&prog, Time::fs(40), &[200], Backend::Interp);
+        let snap = run_new(&prog, Time::fs(40), &[200], Backend::Interp, None);
         if snap.outcome.starts_with("err") {
             outcomes.1 += 1;
         } else {
@@ -1039,6 +1241,11 @@ fn generator_covers_every_instruction_shape() {
     ]);
     let missing: Vec<_> = combiners.difference(&raw).collect();
     assert!(missing.is_empty(), "never a raw step: {missing:?}");
+    // Recursion compiles: every design above had `n_fallback == 0`.
+    assert!(
+        recursive.0 > 0 && recursive.1 > 0,
+        "self / mutual recursion never called: {recursive:?}"
+    );
     // Failing designs are part of the oracle, but most runs must stay
     // healthy long enough to exercise the rest.
     assert!(

@@ -236,6 +236,17 @@ impl Program {
         self.functions.push(decl);
         FnId(self.functions.len() as u32 - 1)
     }
+
+    /// Code unit `u` — process `u`, or subprogram `u - processes.len()`,
+    /// the numbering kernel frames use: its code and local-slot count.
+    pub(crate) fn unit(&self, u: usize) -> Option<(&[Insn], u16)> {
+        match self.processes.get(u) {
+            Some(p) => Some((&p.code, p.n_locals)),
+            None => {
+                (self.functions.get(u - self.processes.len())).map(|f| (&f.code[..], f.n_locals))
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -170,16 +170,18 @@ pub(crate) struct SigState {
     pub(crate) drivers: Vec<Driver>,
 }
 
+/// One activation of a process body or subprogram. Its code is found by
+/// `unit`, its variables by `base` in the owning [`ProcState::locals`].
 pub(crate) struct Frame {
-    pub(crate) code: Arc<Vec<Insn>>,
     pub(crate) pc: usize,
-    pub(crate) locals: Vec<Val>,
+    /// Index of this frame's first slot in [`ProcState::locals`].
+    pub(crate) base: usize,
     pub(crate) static_link: Option<usize>,
     pub(crate) level: u16,
-    /// Compiled-unit index of this frame's code (process index, or
-    /// `n_procs + fn` for subprograms; `u32::MAX` for resolution scratch
-    /// frames, which never run compiled). Kept current by both backends
-    /// so they can take over from each other at any suspension point.
+    /// Code-unit index of this frame: process index, or `n_procs + fn`
+    /// for subprograms. The interpreter fetches the unit's `Insn`s and
+    /// the compiled engine its blocks by it; both keep it current so
+    /// they can take over from each other at any suspension point.
     pub(crate) unit: u32,
 }
 
@@ -196,6 +198,9 @@ pub(crate) struct ProcState {
     pub(crate) name: String,
     pub(crate) status: ProcStatus,
     pub(crate) frames: Vec<Frame>,
+    /// Every frame's variable slots, innermost last: frame `i` owns
+    /// `locals[frames[i].base..]` up to the next frame's base.
+    pub(crate) locals: Vec<Val>,
     pub(crate) stack: Vec<Val>,
     /// Cumulative resumptions of this process (per-object counter).
     pub(crate) resumptions: u64,
@@ -207,6 +212,7 @@ impl ProcState {
             name: String::new(),
             status: ProcStatus::Halted,
             frames: Vec::new(),
+            locals: Vec::new(),
             stack: Vec::new(),
             resumptions: 0,
         }
@@ -416,7 +422,6 @@ pub struct Simulator<'a> {
     res_scratch: Vec<Val>,
     /// Reused execution state for resolution calls.
     fn_state: ProcState,
-    fn_locals: Vec<Val>,
     /// Active process backend.
     pub(crate) backend: Backend,
     /// The program translated to basic-block threaded code (built lazily
@@ -508,13 +513,13 @@ impl<'a> Simulator<'a> {
                 name: p.name.clone(),
                 status: ProcStatus::Ready,
                 frames: vec![Frame {
-                    code: Arc::clone(&p.code),
                     pc: 0,
-                    locals: vec![Val::Int(0); p.n_locals as usize],
+                    base: 0,
                     static_link: None,
                     level: 0,
                     unit: pi as u32,
                 }],
+                locals: vec![Val::Int(0); p.n_locals as usize],
                 stack: Vec::new(),
                 resumptions: 0,
             })
@@ -538,7 +543,6 @@ impl<'a> Simulator<'a> {
             ready: Vec::new(),
             res_scratch: Vec::new(),
             fn_state: ProcState::empty(),
-            fn_locals: Vec::new(),
             backend: Backend::Interp,
             compiled: None,
             eff: Effects::default(),
@@ -1082,28 +1086,21 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs a pure function (resolution) on a reused scratch state: the
-    /// frame's locals buffer, the value stack, and the diagnostic name all
-    /// keep their capacity between calls.
+    /// locals stack, the value stack, and the diagnostic name all keep
+    /// their capacity between calls.
     fn call_function(&mut self, f: FnId, arg: Val) -> Result<Val, RtError> {
         let mut scratch = std::mem::replace(&mut self.fn_state, ProcState::empty());
-        let mut locals = std::mem::take(&mut self.fn_locals);
-        let decl = &self.program.functions[f.0 as usize];
         scratch.status = ProcStatus::Ready;
-        scratch.stack.clear();
         scratch.name.clear();
         scratch.name.push_str("fn ");
-        scratch.name.push_str(&decl.name);
-        locals.clear();
-        locals.resize(decl.n_locals as usize, Val::Int(0));
-        locals[0] = arg;
-        scratch.frames.push(Frame {
-            code: Arc::clone(&decl.code),
-            pc: 0,
-            locals,
-            static_link: None,
-            level: decl.level,
-            unit: u32::MAX,
-        });
+        scratch
+            .name
+            .push_str(&self.program.functions[f.0 as usize].name);
+        scratch.frames.clear();
+        scratch.locals.clear();
+        scratch.stack.clear();
+        scratch.stack.push(arg);
+        push_call(&self.program, &mut scratch, f, 0);
         let out = match self.exec().run_pure(&mut scratch) {
             Ok(()) => scratch
                 .stack
@@ -1111,9 +1108,6 @@ impl<'a> Simulator<'a> {
                 .ok_or_else(|| RtError::Internal("resolution returned no value".into())),
             Err(e) => Err(e),
         };
-        if let Some(frame) = scratch.frames.drain(..).next() {
-            self.fn_locals = frame.locals;
-        }
         self.fn_state = scratch;
         out
     }
@@ -1510,11 +1504,12 @@ impl<'e> Exec<'e> {
                 proc.status = ProcStatus::Halted;
                 return Ok(());
             };
-            // Pin the active frame's code and pc in locals: instructions
-            // are matched by reference out of the owned `code` handle (no
+            // Pin the active frame's code and pc in Rust locals: instructions
+            // are matched by reference out of the shared program (no
             // per-instruction clone), and `pc` only touches the frame at
             // suspension points and frame switches.
-            let code = Arc::clone(&top.code);
+            let (code, _) = (self.program.unit(top.unit as usize))
+                .ok_or_else(|| RtError::Internal("frame in unknown unit".into()))?;
             let mut pc = top.pc;
             loop {
                 let Some(insn) = code.get(pc) else {
@@ -1571,7 +1566,7 @@ impl<'e> Exec<'e> {
                         return Ok(self.suspend(proc, sens, timeout, pc)?);
                     }
                     Insn::Call(f) => {
-                        self.push_call(proc, *f, pc);
+                        push_call(self.program, proc, *f, pc);
                         continue 'outer;
                     }
                     Insn::Ret { has_value: _ } => {
@@ -1593,7 +1588,7 @@ impl<'e> Exec<'e> {
                         halt(proc, pc);
                         return Ok(());
                     }
-                    value => self.eval(&proc.frames, &mut proc.stack, value)?,
+                    value => self.eval(&proc.frames, &proc.locals, &mut proc.stack, value)?,
                 }
             }
         }
@@ -1602,16 +1597,22 @@ impl<'e> Exec<'e> {
     /// Evaluates one pure value instruction on the stack `st`: the single
     /// definition of every value rule. The interpreter and compiled raw
     /// steps run it on the process stack, generic tapes on their scratch
-    /// stack; `frames` resolves variable loads.
+    /// stack; `frames` and `locals` resolve variable loads.
     // Forced inline: as an out-of-line call the interpreter loses about
     // 15% of its instruction rate (perfbench `simulate`).
     #[inline(always)]
-    fn eval(&self, frames: &[Frame], st: &mut Vec<Val>, insn: &Insn) -> Result<(), RtError> {
+    fn eval(
+        &self,
+        frames: &[Frame],
+        locals: &[Val],
+        st: &mut Vec<Val>,
+        insn: &Insn,
+    ) -> Result<(), RtError> {
         let v = match insn {
             Insn::PushInt(v) => Val::Int(*v),
             Insn::PushReal(v) => Val::Real(*v),
             Insn::PushConst(v) => v.clone(),
-            Insn::LoadVar(a) => frames[frame_at(frames, a.depth)?].locals[a.slot as usize].clone(),
+            Insn::LoadVar(a) => locals[var_slot(frames, *a)?].clone(),
             Insn::LoadSig(s) => self.signals[s.0 as usize].current.clone(),
             Insn::LoadSigAttr(s, attr) => {
                 let sig = &self.signals[s.0 as usize];
@@ -1768,7 +1769,7 @@ impl<'e> Exec<'e> {
                     }
                     Term::Call { f, ret_pc } => {
                         charge(fuel)?;
-                        self.push_call(proc, *f, *ret_pc as usize);
+                        push_call(self.program, proc, *f, *ret_pc as usize);
                         continue 'frames;
                     }
                     Term::Ret { end_pc } => {
@@ -1829,7 +1830,7 @@ impl<'e> Exec<'e> {
             }
             Step::Raw(insn) => {
                 charge(fuel)?;
-                self.eval(&proc.frames, &mut proc.stack, insn)?;
+                self.eval(&proc.frames, &proc.locals, &mut proc.stack, insn)?;
             }
             Step::Store { addr, val } => {
                 let v_pre = self.eval_arg(proc, val, fuel)?;
@@ -1927,7 +1928,7 @@ impl<'e> Exec<'e> {
             if *fuel > it.cost {
                 let mut st = std::mem::take(&mut self.scratch.tape_ints);
                 st.clear();
-                let out = self.tape_int_inner(&proc.frames, it, fuel, &mut st);
+                let out = self.tape_int_inner(&proc.frames, &proc.locals, it, fuel, &mut st);
                 self.scratch.tape_ints = st;
                 match out? {
                     IntRun::Done(v) => return Ok(Val::Int(v)),
@@ -1937,7 +1938,7 @@ impl<'e> Exec<'e> {
         }
         let mut st = std::mem::take(&mut self.scratch.tape_vals);
         st.clear();
-        let out = self.eval_tape(&proc.frames, &tape.ops, fuel, &mut st);
+        let out = self.eval_tape(&proc.frames, &proc.locals, &tape.ops, fuel, &mut st);
         self.scratch.tape_vals = st;
         out
     }
@@ -1947,13 +1948,14 @@ impl<'e> Exec<'e> {
     fn eval_tape(
         &self,
         frames: &[Frame],
+        locals: &[Val],
         ops: &[Insn],
         fuel: &mut u64,
         st: &mut Vec<Val>,
     ) -> Result<Val, CErr> {
         for insn in ops {
             charge(fuel)?;
-            self.eval(frames, st, insn)?;
+            self.eval(frames, locals, st, insn)?;
         }
         Ok(pop(st)?)
     }
@@ -1967,6 +1969,7 @@ impl<'e> Exec<'e> {
     fn tape_int_inner(
         &self,
         frames: &[Frame],
+        locals: &[Val],
         it: &compile::IntTape,
         fuel: &mut u64,
         st: &mut Vec<i64>,
@@ -2007,8 +2010,8 @@ impl<'e> Exec<'e> {
                             Err(e) => break 'run e,
                         }
                     }
-                    IntOp::Local(a) => match frame_at(frames, a.depth) {
-                        Ok(fi) => match &frames[fi].locals[a.slot as usize] {
+                    IntOp::Local(a) => match var_slot(frames, a) {
+                        Ok(i) => match &locals[i] {
                             Val::Int(x) => {
                                 st.push(tos);
                                 tos = *x;
@@ -2106,33 +2109,6 @@ impl<'e> Exec<'e> {
             timeout,
         };
         Ok(())
-    }
-
-    /// Enters subprogram `f`: its arguments (rightmost on top) leave the
-    /// value stack for the new frame's first locals, and the caller
-    /// resumes at `ret_pc`.
-    fn push_call(&self, proc: &mut ProcState, f: FnId, ret_pc: usize) {
-        let decl = &self.program.functions[f.0 as usize];
-        let at = proc.stack.len() - decl.n_params as usize;
-        let args = proc.stack.split_off(at);
-        let mut locals = vec![Val::Int(0); decl.n_locals as usize];
-        for (i, a) in args.into_iter().enumerate() {
-            locals[i] = a;
-        }
-        // Static link: nearest frame one level shallower.
-        let static_link = proc
-            .frames
-            .iter()
-            .rposition(|fr| fr.level + 1 == decl.level);
-        set_pc(proc, ret_pc);
-        proc.frames.push(Frame {
-            code: Arc::clone(&decl.code),
-            pc: 0,
-            locals,
-            static_link,
-            level: decl.level,
-            unit: (self.program.processes.len() + f.0 as usize) as u32,
-        });
     }
 
     /// An executed `assert`: when `cond` is false, buffer the report; at
@@ -2493,6 +2469,34 @@ fn int_binop(op: Op, x: i64, y: i64) -> Result<i64, RtError> {
     })
 }
 
+/// Enters subprogram `f`: its arguments (rightmost on top) move from
+/// the value stack to the new frame's first slots at the end of the
+/// locals stack, and the caller (if any: a resolution call has none)
+/// resumes at `ret_pc`.
+fn push_call(program: &Program, proc: &mut ProcState, f: FnId, ret_pc: usize) {
+    let decl = &program.functions[f.0 as usize];
+    let at = proc.stack.len() - decl.n_params as usize;
+    let base = proc.locals.len();
+    proc.locals.extend(proc.stack.drain(at..));
+    proc.locals
+        .resize(base + decl.n_locals as usize, Val::Int(0));
+    // Static link: nearest frame one level shallower.
+    let static_link = proc
+        .frames
+        .iter()
+        .rposition(|fr| fr.level + 1 == decl.level);
+    if let Some(caller) = proc.frames.last_mut() {
+        caller.pc = ret_pc;
+    }
+    proc.frames.push(Frame {
+        pc: 0,
+        base,
+        static_link,
+        level: decl.level,
+        unit: (program.processes.len() + f.0 as usize) as u32,
+    });
+}
+
 /// Index of the frame `depth` static links up from the top one.
 fn frame_at(frames: &[Frame], depth: u8) -> Result<usize, RtError> {
     let mut idx = frames.len() - 1;
@@ -2502,6 +2506,12 @@ fn frame_at(frames: &[Frame], depth: u8) -> Result<usize, RtError> {
             .ok_or_else(|| RtError::Internal("missing static link".into()))?;
     }
     Ok(idx)
+}
+
+/// Index of variable `a`'s slot in the owning [`ProcState::locals`].
+#[inline]
+fn var_slot(frames: &[Frame], a: VarAddr) -> Result<usize, RtError> {
+    Ok(frames[frame_at(frames, a.depth)?].base + a.slot as usize)
 }
 
 /// Where a variable store lands.
@@ -2517,8 +2527,7 @@ enum Place {
 /// Stores `v` into variable `addr`, in whole or in part.
 #[inline]
 fn store_var(proc: &mut ProcState, addr: VarAddr, place: Place, v: Val) -> Result<(), RtError> {
-    let fi = frame_at(&proc.frames, addr.depth)?;
-    let slot = &mut proc.frames[fi].locals[addr.slot as usize];
+    let slot = &mut proc.locals[var_slot(&proc.frames, addr)?];
     match place {
         Place::Whole => *slot = v,
         Place::Elem(i) => *slot = store_elem(slot, i, v)?,
@@ -2563,7 +2572,8 @@ fn halt(proc: &mut ProcState, pc: usize) {
 /// `true`); the process frame halts the process (returns `false`).
 fn leave_frame(proc: &mut ProcState, pc: usize) -> bool {
     if proc.frames.len() > 1 {
-        proc.frames.pop();
+        let base = proc.frames.pop().expect("frame").base;
+        proc.locals.truncate(base);
         return true;
     }
     halt(proc, pc);

@@ -559,7 +559,9 @@ impl<'a> Simulator<'a> {
                 ProcStatus::Halted => e.u8(2),
             }
             e.len(p.frames.len());
-            for f in &p.frames {
+            for (fi, f) in p.frames.iter().enumerate() {
+                let end = p.frames.get(fi + 1).map_or(p.locals.len(), |n| n.base);
+                let locals = &p.locals[f.base..end];
                 e.u32(f.unit);
                 e.u64(f.pc as u64);
                 e.u32(f.level as u32);
@@ -570,8 +572,8 @@ impl<'a> Simulator<'a> {
                         e.u64(l as u64);
                     }
                 }
-                e.len(f.locals.len());
-                for v in &f.locals {
+                e.len(locals.len());
+                for v in locals {
                     e.val(v);
                 }
             }
@@ -734,6 +736,7 @@ impl<'a> Simulator<'a> {
             };
             let n_frames = d.len(1)?;
             let mut frames = Vec::with_capacity(n_frames);
+            let mut locals = Vec::new();
             for _ in 0..n_frames {
                 let unit = d.u32()?;
                 let pc = d.u64()? as usize;
@@ -743,17 +746,10 @@ impl<'a> Simulator<'a> {
                     1 => Some(d.u64()? as usize),
                     t => return Err(SnapshotError::Corrupt(format!("bad static-link tag {t}"))),
                 };
-                // Recover the frame's code handle from its unit index.
-                // Resolution scratch frames (`u32::MAX`) never appear in
-                // a snapshot: resolution runs to completion within a
-                // cycle and its frames are drained before any boundary.
-                let (code, want_locals) = if (unit as usize) < n_procs {
-                    let decl = &sim.program.processes[unit as usize];
-                    (Arc::clone(&decl.code), decl.n_locals as usize)
-                } else if (unit as usize) < n_procs + n_fns {
-                    let decl = &sim.program.functions[unit as usize - n_procs];
-                    (Arc::clone(&decl.code), decl.n_locals as usize)
-                } else {
+                // Check the frame against its code unit. Resolution
+                // scratch frames never appear in a snapshot: resolution
+                // runs to completion within a cycle, on its own state.
+                let Some((code, want_locals)) = sim.program.unit(unit as usize) else {
                     return Err(SnapshotError::Corrupt(format!(
                         "frame names unit {unit} of {}",
                         n_procs + n_fns
@@ -766,19 +762,18 @@ impl<'a> Simulator<'a> {
                     )));
                 }
                 let n_locals = d.len(1)?;
-                if n_locals != want_locals {
+                if n_locals != usize::from(want_locals) {
                     return Err(SnapshotError::Corrupt(format!(
                         "frame for unit {unit} has {n_locals} locals, wants {want_locals}"
                     )));
                 }
-                let mut locals = Vec::with_capacity(n_locals);
+                let base = locals.len();
                 for _ in 0..n_locals {
                     locals.push(d.val()?);
                 }
                 frames.push(Frame {
-                    code,
                     pc,
-                    locals,
+                    base,
                     static_link,
                     level: level as u16,
                     unit,
@@ -803,6 +798,7 @@ impl<'a> Simulator<'a> {
             let p = &mut sim.procs[pi];
             p.status = status;
             p.frames = frames;
+            p.locals = locals;
             p.stack = stack;
             p.resumptions = resumptions;
         }

@@ -15,7 +15,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use sim_kernel::{Backend, FnDecl, Insn, Op, Program, SigId, Simulator, Time, Val, VarAddr};
+use sim_kernel::{Backend, FnDecl, FnId, Insn, Op, Program, SigId, Simulator, Time, Val, VarAddr};
 
 #[global_allocator]
 static ALLOC: ag_harness::alloc::CountingAlloc = ag_harness::alloc::CountingAlloc;
@@ -33,6 +33,58 @@ fn oscillator(period_fs: i64) -> Program {
         "top.osc",
         0,
         vec![
+            Insn::LoadSig(clk),
+            Insn::Unop(Op::Not),
+            Insn::PushInt(period_fs),
+            Insn::Sched {
+                sig: clk,
+                transport: false,
+            },
+            Insn::Wait {
+                sens: Arc::new(vec![clk]),
+                with_timeout: false,
+            },
+            Insn::Pop,
+            Insn::Jump(0),
+        ],
+    );
+    p
+}
+
+/// An oscillator that calls `rec(8)` on every clock edge, where
+/// `rec(n) = if n > 0 then rec(n - 1) + 1 else 0` — nine nested frames
+/// per activation.
+fn recursive_caller(period_fs: i64) -> Program {
+    let mut p = Program::default();
+    let rec = p.add_function(FnDecl {
+        name: "rec".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(0),
+            Insn::Binop(Op::Gt),
+            Insn::JumpIfFalse(11),
+            Insn::LoadVar(slot(0)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Sub),
+            Insn::Call(FnId(0)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Add),
+            Insn::Ret { has_value: true },
+            Insn::PushInt(0), // 11: base case
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    });
+    let clk = p.add_signal("top.clk", Val::Int(0));
+    p.add_process(
+        "top.caller",
+        1,
+        vec![
+            Insn::PushInt(8),
+            Insn::Call(rec),
+            Insn::StoreVar(slot(0)),
             Insn::LoadSig(clk),
             Insn::Unop(Op::Not),
             Insn::PushInt(period_fs),
@@ -190,6 +242,35 @@ fn steady_state_allocation_budget() {
         allocs < events / 10,
         "compiled steady state allocates too much: {allocs} allocations for {events} events"
     );
+
+    // --- Recursion under both backends: every activation makes nine
+    // nested calls. Frames live on one reused locals stack per process
+    // and the compiled backend translates the recursion (no fallback),
+    // so a call costs no allocation once the stacks have reached their
+    // steady capacity.
+    for backend in [Backend::Interp, Backend::Compiled] {
+        let mut sim = Simulator::new(recursive_caller(1_000));
+        sim.set_backend(backend);
+        sim.run_until(Time::fs(1_000_000)).unwrap(); // warm-up
+        let cycles0 = sim.stats().cycles;
+        let before = ag_harness::alloc::stats();
+        sim.run_until(Time::fs(2_000_000)).unwrap();
+        let after = ag_harness::alloc::stats();
+        let cycles = sim.stats().cycles - cycles0;
+        assert!(cycles >= 999, "window ran: {cycles} cycles");
+        if backend == Backend::Compiled {
+            assert_eq!(sim.stats().fallback_procs, 0, "recursion compiles");
+            assert!(
+                sim.stats().compiled_blocks > 0,
+                "compiled backend did not engage"
+            );
+        }
+        let allocs = after.allocations - before.allocations;
+        assert!(
+            allocs < cycles / 10,
+            "{backend:?} recursive calls allocate: {allocs} allocations for {cycles} cycles"
+        );
+    }
 
     // --- Parallel steady state: eight concurrently-woken oscillators at
     // jobs=4, so every cycle takes the worker-pool path (partition,

@@ -9,7 +9,10 @@
 
 use std::path::PathBuf;
 
-use vhdl_conform::{load_dir, replay, CaseVerdict};
+use ag_harness::Source;
+use sim_kernel::{Backend, Simulator};
+use vhdl_conform::oracle::elaborate;
+use vhdl_conform::{gen_design, load_dir, replay, CaseVerdict, Design, Profile};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -58,4 +61,42 @@ fn corpus_cases_all_have_goldens() {
         .map(|c| c.name.as_str())
         .collect();
     assert!(missing.is_empty(), "digest-less corpus cases: {missing:?}");
+}
+
+/// The compiled backend translates generated designs in full, recursion
+/// included: no process of any corpus case, or of 64 fresh `small` and 64
+/// fresh `heavy` designs, is left on the interpreter fallback.
+#[test]
+fn generated_designs_compile_without_fallback() {
+    let mut designs: Vec<(String, Design)> = load_dir(&corpus_dir())
+        .expect("corpus loads")
+        .iter()
+        .map(|c| (c.name.clone(), c.design()))
+        .collect();
+    for profile in [Profile::Small, Profile::Heavy] {
+        for seed in 0..64 {
+            let design = gen_design(&mut Source::from_seed(seed), profile);
+            designs.push((format!("{} seed {seed}", profile.name()), design));
+        }
+    }
+    let mut procs = 0;
+    let mut fallback = Vec::new();
+    for (name, design) in &designs {
+        let program = elaborate(design).expect("generated design elaborates");
+        procs += program.processes.len();
+        let mut sim = Simulator::new(program);
+        sim.set_backend(Backend::Compiled);
+        let n = sim.stats().fallback_procs;
+        if n > 0 {
+            fallback.push(format!("{name}: {n}"));
+        }
+    }
+    assert!(procs > 1000, "too few processes to mean much: {procs}");
+    assert!(
+        fallback.is_empty(),
+        "designs with interpreter-fallback processes ({} of {} designs):\n{}",
+        fallback.len(),
+        designs.len(),
+        fallback.join("\n")
+    );
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ag_harness::{check_eq, forall, Config, Source};
 use sim_kernel::io::Vcd;
 use sim_kernel::{
-    ArrAttrKind, Backend, FnDecl, FnId, Insn, Op, Program, RunOutcome, SigId, SimError, SimStats,
+    ArrAttrKind, Backend, FnDecl, Insn, Op, Program, RunOutcome, SigId, SimError, SimStats,
     Simulator, Time, Val, VarAddr,
 };
 
@@ -482,66 +482,51 @@ fn shared_signal_split_across_partitions() {
     }
 }
 
-/// Partition edge case: a compiled-backend fallback process (recursive
-/// subprogram, which the translator declines) sharing a cycle — and
-/// potentially a partition — with tape-compiled processes. The mixed
-/// chunk must still be byte-identical to sequential execution.
+/// Partition edge case: a compiled-backend fallback process (a join
+/// reached at two stack depths, which the translator declines) sharing a
+/// cycle — and potentially a partition — with tape-compiled processes.
+/// The mixed chunk must still be byte-identical to sequential execution.
 #[test]
 fn compiled_fallback_shares_partition() {
     let mut prog = Program::default();
-    // rec(n) = if n <= 0 { 0 } else { rec(n - 1) } — terminates, but
-    // recursion defeats the translator's stack-depth tracking.
-    let f = prog.add_function(FnDecl {
-        name: "rec".into(),
-        n_params: 1,
-        n_locals: 1,
-        code: Arc::new(vec![
-            Insn::LoadVar(slot(0)),
-            Insn::PushInt(0),
-            Insn::Binop(Op::Gt),
-            Insn::JumpIfFalse(9),
-            Insn::LoadVar(slot(0)),
-            Insn::PushInt(-1),
-            Insn::Binop(Op::Add),
-            Insn::Call(FnId(0)),
-            Insn::Ret { has_value: true },
-            Insn::PushInt(0), // 9: base case
-            Insn::Ret { has_value: true },
-        ]),
-        level: 1,
-    });
     let mut sigs = Vec::new();
     for i in 0..5 {
         sigs.push(prog.add_signal(format!("top.s{i}"), Val::Int(0)));
     }
-    // Process 0 calls the recursive function each activation: it falls
-    // back to the interpreter even under Backend::Compiled.
-    prog.add_process(
-        "top.fallback",
-        2,
-        vec![
-            Insn::LoadVar(slot(0)),
-            Insn::PushInt(1),
-            Insn::Binop(Op::Add),
-            Insn::StoreVar(slot(0)),
-            Insn::LoadVar(slot(0)),
-            Insn::PushInt(4),
-            Insn::Binop(Op::Mod),
-            Insn::Call(f),
-            Insn::PushInt(-1),
-            Insn::Sched {
-                sig: sigs[0],
-                transport: false,
-            },
-            Insn::PushInt(1),
-            Insn::Wait {
-                sens: Arc::new(vec![]),
-                with_timeout: true,
-            },
-            Insn::Pop,
-            Insn::Jump(0),
-        ],
-    );
+    // Process 0 pushes its counter on odd activations only and consumes
+    // it behind a second test of the same condition: balanced at run
+    // time, but the join at 9 has depths 0 and 1, so it falls back to the
+    // interpreter even under Backend::Compiled.
+    let odd = [
+        Insn::LoadVar(slot(0)),
+        Insn::PushInt(2),
+        Insn::Binop(Op::Mod),
+    ];
+    let mut code = vec![
+        Insn::LoadVar(slot(0)),
+        Insn::PushInt(1),
+        Insn::Binop(Op::Add),
+        Insn::StoreVar(slot(0)),
+    ];
+    code.extend(odd.clone());
+    code.extend([Insn::JumpIfFalse(9), Insn::LoadVar(slot(0))]);
+    code.extend(odd); // 9: the disagreeing join
+    code.extend([
+        Insn::JumpIfFalse(15),
+        Insn::PushInt(1),
+        Insn::Sched {
+            sig: sigs[0],
+            transport: false,
+        },
+        Insn::PushInt(1), // 15:
+        Insn::Wait {
+            sens: Arc::new(vec![]),
+            with_timeout: true,
+        },
+        Insn::Pop,
+        Insn::Jump(0),
+    ]);
+    prog.add_process("top.fallback", 2, code);
     // Four plain oscillators the translator compiles fully.
     for i in 1..5 {
         prog.add_process(
@@ -569,7 +554,7 @@ fn compiled_fallback_shares_partition() {
     let seq = run_jobs(&prog, deadline, &[600], Backend::Compiled, 1);
     assert_eq!(
         seq.stats.fallback_procs, 1,
-        "the recursive caller must be an interpreter fallback"
+        "the disagreeing join must be an interpreter fallback"
     );
     for jobs in [2usize, 4] {
         let par = run_jobs(&prog, deadline, &[600], Backend::Compiled, jobs);

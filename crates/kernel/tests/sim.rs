@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use sim_kernel::{
-    FnDecl, Insn, Op, Program, RunOutcome, SigAttr, SimError, Simulator, Time, Val, VarAddr,
+    Backend, FnDecl, FnId, Insn, Op, Program, RunOutcome, SigAttr, SimError, Simulator, Time, Val,
+    VarAddr,
 };
 
 fn addr(slot: u16) -> VarAddr {
@@ -378,6 +379,71 @@ fn static_links_uplevel_access() {
     let mut sim = Simulator::new(p);
     sim.run_until(Time::fs(5)).unwrap();
     assert_eq!(sim.signal_value(out), &Val::Int(42));
+}
+
+/// Static links inside a recursion: `f(n) = if n = 0 then x else
+/// f(n - 1) + g()`, where `x` is the process's variable (read at depth 1
+/// from the innermost `f`) and the nested `g` returns its enclosing
+/// frame's `n` (depth 1). Every frame of the chain must link to the
+/// right ancestor under both backends.
+#[test]
+fn static_links_through_recursion() {
+    let mut p = Program::default();
+    let out = p.add_signal("out", Val::Int(0));
+    let f = FnId(0);
+    let g = FnId(1);
+    p.add_function(FnDecl {
+        name: "f".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::LoadVar(addr(0)),
+            Insn::JumpIfFalse(9),
+            Insn::LoadVar(addr(0)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Sub),
+            Insn::Call(f),
+            Insn::Call(g),
+            Insn::Binop(Op::Add),
+            Insn::Ret { has_value: true },
+            Insn::LoadVar(VarAddr { depth: 1, slot: 0 }), // 9: base case
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    });
+    p.add_function(FnDecl {
+        name: "g".into(),
+        n_params: 0,
+        n_locals: 0,
+        code: Arc::new(vec![
+            Insn::LoadVar(VarAddr { depth: 1, slot: 0 }),
+            Insn::Ret { has_value: true },
+        ]),
+        level: 2,
+    });
+    p.add_process(
+        "p",
+        1,
+        vec![
+            Insn::PushInt(40),
+            Insn::StoreVar(addr(0)),
+            Insn::PushInt(5),
+            Insn::Call(f),
+            Insn::PushInt(1),
+            Insn::Sched {
+                sig: out,
+                transport: false,
+            },
+            Insn::Halt,
+        ],
+    );
+    for backend in [Backend::Interp, Backend::Compiled] {
+        let mut sim = Simulator::new(p.clone());
+        sim.set_backend(backend);
+        sim.run_until(Time::fs(5)).unwrap();
+        assert_eq!(sim.stats().fallback_procs, 0);
+        assert_eq!(sim.signal_value(out), &Val::Int(55), "{backend:?}");
+    }
 }
 
 /// Assertion reports and failure severity.
